@@ -20,7 +20,9 @@ lint-kernel:
 		> /dev/null
 
 # What .github/workflows/ci.yml runs: lint (when available) + the
-# kernel-image linter + tier-1 + the smoke studies.
+# kernel-image linter + tier-1 + the campaign benchmark's own tests
+# (incl. a --smoke run checked against the pinned digests) + the smoke
+# studies.
 ci:
 	@if $(PY) -m flake8 --version >/dev/null 2>&1; then \
 		$(PY) -m flake8 src tests; \
@@ -35,6 +37,7 @@ ci:
 		echo "pytest-cov not installed; running without coverage"; \
 		PYTHONPATH=src $(PY) -m pytest -x -q; \
 	fi
+	PYTHONPATH=src $(PY) -m pytest benchmarks/campaign -q
 	PYTHONPATH=src $(PY) -m repro.experiments.recovery_study --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.static_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.static_propagation --smoke

@@ -13,10 +13,14 @@ and kernel-boot counts:
 
 The acceptance criterion is in the boot counters: ``boots_warm`` must
 be 0 and ``boots_cold`` must equal the number of distinct
-kernel/workload pairs (+1 for the crash-overhead calibration boot on
-the serial baseline), i.e. boot cost is paid once per pair, not once
-per shard.  All three runs must serialize bit-identically; the
-benchmark refuses to report timings for non-identical results.
+kernel/workload pairs, i.e. boot cost is paid once per pair, not once
+per shard.  ``boots_serial`` adds to the same count the ``syscall``
+golden run when no spec drives ``syscall`` (the crash-overhead
+calibration clones its snapshot) and one boot per severity-grading
+reboot.  The fabric runs calibrate and grade in their shard workers,
+whose boots the parent harness does not count.  All three runs must
+serialize bit-identically; the benchmark refuses to report timings for
+non-identical results.
 
 Run from the repo root::
 

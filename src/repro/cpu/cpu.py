@@ -123,6 +123,11 @@ class CPU:
         # pre-compiled basic blocks instead of interpreting, with
         # bit-identical architectural and counter state.
         self.translator = None
+        # Optional ``(eip, user) -> Instr`` memo shared by every machine
+        # translating one kernel (repro.cpu.translate.CodeCache.decoded):
+        # a decode-cache miss first reuses an instruction whose raw
+        # bytes still match memory.  The interpreter never sets it.
+        self.decode_memo = None
 
     # ------------------------------------------------------------------
     # memory access helpers (cycle-accounted, privilege-aware)
@@ -361,12 +366,17 @@ class CPU:
             if valid:
                 return ins
         phys = bus.translate(eip, False, user)
-        read = self._fetch_byte
-        try:
-            ins = decode(read, eip)
-        except DecodeError as exc:
-            raise Trap(VEC_INVALID_OP) from exc
-        ins.run = _HANDLERS[ins.op]
+        memo = self.decode_memo
+        ins = memo.get((eip, user)) if memo is not None else None
+        if ins is None or bus.code_bytes(eip, ins.length, user) != ins.raw:
+            read = self._fetch_byte
+            try:
+                ins = decode(read, eip)
+            except DecodeError as exc:
+                raise Trap(VEC_INVALID_OP) from exc
+            ins.run = _HANDLERS[ins.op]
+            if memo is not None:
+                memo[(eip, user)] = ins
         # Fetches from beyond RAM (floating bus) or MMIO space have no
         # version counter; pin them to the sentinel last slot, which
         # never changes.

@@ -186,6 +186,30 @@ class MemoryBus:
         phys = self.translate(vaddr, False, user)
         return self.phys_read(phys, size)
 
+    def code_bytes(self, start, length, user):
+        """RAM bytes at virtual ``[start, start+length)``, read with no
+        side effect but TLB fills, or ``None`` when a page is unmapped
+        or the range leaves RAM — callers then take the full fetch
+        path, which handles the fault or device access bit-exactly.
+        Decoded-code caches shared across machines revalidate with it.
+        """
+        if length <= 0:
+            return None
+        pieces = []
+        v = start
+        end = start + length
+        try:
+            while v < end:
+                seg_end = min(end, ((v >> PAGE_SHIFT) + 1) << PAGE_SHIFT)
+                phys = self.translate(v & 0xFFFFFFFF, False, user)
+                if phys + (seg_end - v) > self.ram_size:
+                    return None
+                pieces.append(self.ram[phys:phys + seg_end - v])
+                v = seg_end
+        except Trap:
+            return None
+        return b"".join(pieces)
+
     def write(self, vaddr, size, value, user):
         vaddr &= 0xFFFFFFFF
         if (vaddr & 0xFFF) + size > PAGE_SIZE:

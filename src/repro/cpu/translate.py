@@ -1,4 +1,4 @@
-"""Translated-execution fast path: a self-invalidating block cache.
+"""Translated-execution fast path: a tiered, self-invalidating block cache.
 
 The interpreter in :mod:`repro.cpu.cpu` re-decodes, re-dispatches, and
 re-checks host events (watchdog, timer, alarm, pending IRQ, DR0
@@ -11,12 +11,22 @@ seeded at the statically recovered CFG's block leaders
 (:mod:`repro.staticanalysis.cfg`) plus on-demand discovery, extended
 through direct ``jmp``/``call`` targets and ``jcc`` fallthroughs
 (taken sides become committed side exits) — and compiles each into one
-specialized Python function (``exec``-generated source; templates are
-cached across machines keyed by ``(eip, cpl)`` and validated against
-the raw code bytes, so campaign clones share compilation).  Decode
+specialized Python function (``exec``-generated source).  Decode
 happens once; execution happens many times with no fetch, no
 decode-cache validation, no per-instruction event checks, and no
 per-instruction call dispatch.
+
+Translation is *tiered*: compiling a trace costs milliseconds, far
+more than interpreting it a few times, and most of the code a campaign
+touches runs only a handful of times per process.  A trace head is
+interpreted until it has been dispatched :data:`HOT_DISPATCHES` times,
+and a hot head is compiled only at a dispatch where the guard would let
+the trace run (see below), so no compile is spent on a trace refused
+at the very dispatch that built it.  Heat counts and compiled templates
+live in one :class:`CodeCache` per kernel image (:func:`code_cache`):
+every machine cloned from a kernel shares them, forked campaign workers
+inherit them, and a template is revalidated against the raw code bytes
+before reuse.
 
 The generated code exploits what the interpreter cannot: within a
 block, ``cycles``/``instret`` retires are *batched* into compile-time
@@ -24,7 +34,10 @@ constants, arithmetic flags live in Python locals (a ``cmp``+``jcc``
 pair branches on the locals directly — the general form of the
 cmp+jcc / dec+jnz superinstructions), and the MMU/TLB read and write
 fast paths are inlined with the privilege checks specialized for the
-block's compile-time CPL.
+block's compile-time CPL.  Rarely taken paths — the MMU slow paths,
+trace hooks around followed transfers, and stale-code side exits —
+call shared out-of-line helpers, which keeps the generated source (and
+so the compile time) small.
 
 Bit-identity contract (the differential harness in
 ``tests/test_translate_differential.py`` enforces this):
@@ -40,8 +53,9 @@ Bit-identity contract (the differential harness in
   interpreter threshold test is ``>=``, so ``cycles + worst <
   horizon`` proves the elided checks dead) and refuses to enter a
   block that could cross it, or that contains a DR0 breakpoint
-  address — those cases fall back to single-step interpretation
-  (``_step_one``, a verbatim copy of the interpreter loop body);
+  address — those cases, like cold heads, fall back to single-step
+  interpretation (``_step_one``, a verbatim copy of the interpreter
+  loop body);
 * instructions that can enable interrupts, redirect control, or change
   paging/debug state terminate their block, so no IRQ window or
   breakpoint map change can open mid-block;
@@ -84,6 +98,11 @@ KERNEL_SPACE = 0xC0000000
 
 #: longest instruction run compiled into one translated trace.
 MAX_TRACE = 64
+
+#: dispatches of a trace head, per process, before it is compiled;
+#: until then it is interpreted.  Chosen by a sweep over campaign
+#: workloads (docs/translation.md, "Tiering").
+HOT_DISPATCHES = 64
 
 #: cap on a trace's worst-case interior cycle cost.  The dispatcher
 #: only enters a trace when ``cycles + worst`` stays below the event
@@ -141,15 +160,62 @@ def _walk_cost(ins):
     return _cost(ins)
 
 
-def kernel_block_leaders(kernel):
-    """The union of CFG basic-block leaders across all kernel functions.
+class CodeCache:
+    """Translation state that depends only on a kernel's code.
 
-    Block discovery stops at leaders so translated blocks tile the
-    recovered CFG instead of forming overlapping superblocks.  Cached on
-    the kernel image: campaigns clone thousands of machines from one
-    build, and the sweep costs ~75ms (BENCH_static.json).
+    One instance per kernel image (:func:`code_cache`), shared by every
+    machine running that kernel: campaigns clone thousands of machines
+    from one build, and forked workers inherit the parent's instance.
+
+    * ``leaders`` — CFG basic-block leaders; discovery stops at them so
+      traces tile the recovered CFG instead of forming overlapping
+      superblocks.
+    * ``heat`` — ``(eip, user)`` -> how often dispatch has met that
+      head without a resident block; a head is translated once this
+      reaches :data:`HOT_DISPATCHES`.
+    * ``templates`` — ``(eip, user)`` -> list of :class:`Template`,
+      everything about a trace that depends only on its code bytes.  A
+      machine whose bytes still match skips fetch, decode, codegen and
+      compilation; a mismatch (an injected flip) falls through to fresh
+      discovery, and a restored flip re-matches the original template.
+    * ``decoded`` — ``(eip, user)`` -> the last instruction decoded
+      there by any machine (see ``CPU.decode_memo``): a fresh clone
+      interpreting cold code revalidates it against the raw bytes
+      instead of decoding again.
+
+    A :class:`BlockCache` built without one (unit tests driving a bare
+    bus) gets a private, empty instance.
     """
-    cached = getattr(kernel, "_block_leaders", None)
+
+    #: bound on template keys before the table is dropped wholesale.
+    MAX_TEMPLATE_KEYS = 65536
+    #: templates kept per key (distinct code bytes at one address).
+    TEMPLATE_WAYS = 4
+    #: bound on heat and decoded entries, checked as each machine arms:
+    #: wild execution after an injected fault can dispatch any address.
+    MAX_ENTRIES = 1 << 18
+
+    def __init__(self, leaders=frozenset()):
+        self.leaders = leaders
+        self.heat = {}
+        self.templates = {}
+        self.decoded = {}
+
+    def trim(self):
+        """Drop the heat or decoded table once it outgrows its bound."""
+        for table in (self.heat, self.decoded):
+            if len(table) > self.MAX_ENTRIES:
+                table.clear()
+
+
+def code_cache(kernel):
+    """The :class:`CodeCache` of *kernel*, built on first use.
+
+    Seeds the leaders with the union of CFG block leaders across all
+    kernel functions — a sweep costing ~75ms (BENCH_static.json), paid
+    once per kernel image.
+    """
+    cached = getattr(kernel, "_code_cache", None)
     if cached is not None:
         return cached
     from repro.staticanalysis.cfg import build_cfg
@@ -160,12 +226,34 @@ def kernel_block_leaders(kernel):
         except Exception:
             continue
         leaders.update(cfg.blocks.keys())
-    leaders = frozenset(leaders)
+    cache = CodeCache(frozenset(leaders))
     try:
-        kernel._block_leaders = leaders
+        kernel._code_cache = cache
     except AttributeError:
         pass
-    return leaders
+    return cache
+
+
+class Template:
+    """A discovered trace, independent of any machine.
+
+    ``source`` holds the generated code until the first dispatch that
+    can run the trace compiles it into ``make`` (a factory binding the
+    trace to one machine); a negative template (untranslatable head,
+    e.g. a rep-string resume) has neither.
+    """
+
+    __slots__ = ("spans", "raw", "source", "make", "generics", "worst",
+                 "eips")
+
+    def __init__(self, spans, raw, source, generics, worst, eips):
+        self.spans = spans
+        self.raw = raw
+        self.source = source
+        self.make = None
+        self.generics = generics
+        self.worst = worst
+        self.eips = eips
 
 
 class Block:
@@ -229,6 +317,83 @@ def _step_one(cpu, eip):
 # flag locals ``cf``/``zf``/``sf``/``of``/``pf``, and the inlined
 # TLB fast path over ``ram``.
 
+# -- out-of-line helpers ------------------------------------------------
+#
+# Rarely taken paths share these instead of inlining their commit /
+# call / uncommit sequences into every trace: the generated source
+# shrinks, and with it the compile time every hot trace pays.  Each
+# takes the pending counters ``c``/``i`` and, when the flags live in
+# the trace's locals, their values, and leaves exactly the state the
+# inline sequence did — including when the call raises ``Trap``,
+# which escapes with the committed state for dispatch to deliver.
+
+
+def _commit_flags(cpu, flags):
+    cpu.cf, cpu.zf, cpu.sf, cpu.of, cpu.pf = flags
+
+
+def _read_slow(cpu, ea, size, user, c, i, eip, *flags):
+    """MMU slow path of an inlined read (TLB miss, MMIO, page split)."""
+    if flags:
+        _commit_flags(cpu, flags)
+    cpu.cycles += c + 1
+    cpu.instret += i
+    cpu.eip = eip
+    v = cpu.bus.read(ea, size, user)
+    cpu.cycles -= c + 1
+    cpu.instret -= i
+    return v
+
+
+def _write_slow(cpu, ea, wv, user, c, i, eip, *flags):
+    """MMU slow path of an inlined store; also serves an armed CPL0
+    ``trace_write`` hook, fired before the access cycle as the
+    interpreter does."""
+    if flags:
+        _commit_flags(cpu, flags)
+    cpu.cycles += c
+    cpu.instret += i
+    cpu.eip = eip
+    if not user:
+        tw = cpu.trace_write
+        if tw is not None:
+            tw(ea, 4, wv)
+    cpu.cycles += 1
+    cpu.bus.write(ea, 4, wv, user)
+    cpu.cycles -= c + 1
+    cpu.instret -= i
+
+
+def _branch_hook(cpu, tb, c, i, target, src, *flags):
+    """Fire ``trace_branch`` for a followed ``jmp``/``call`` seam with
+    the retired state committed, then roll the counters back so the
+    trace keeps batching across the seam."""
+    if flags:
+        _commit_flags(cpu, flags)
+    cpu.cycles += c
+    cpu.instret += i
+    cpu.eip = target
+    tb(src, target)
+    cpu.cycles -= c
+    cpu.instret -= i
+
+
+def _side_exit(cpu, c, i, eip, *flags):
+    """Commit the exact interpreted state and leave the trace."""
+    if flags:
+        _commit_flags(cpu, flags)
+    cpu.cycles += c
+    cpu.instret += i
+    cpu.eip = eip
+
+
+#: globals of every generated trace module.
+_HELPERS = {"RDS": _read_slow, "WRS": _write_slow, "HOOK": _branch_hook,
+            "EXIT": _side_exit}
+
+_FLAG_COMMIT = ("cpu.cf = cf; cpu.zf = zf; cpu.sf = sf; "
+                "cpu.of = of; cpu.pf = pf")
+
 _CC_EXPR = (
     "{p}of", "{p}cf", "{p}zf", "{p}cf or {p}zf", "{p}sf", "{p}pf",
     "{p}sf != {p}of", "{p}zf or {p}sf != {p}of",
@@ -276,8 +441,7 @@ class _Emit:
 
     def commit_flags(self):
         if self.flags:
-            self.put("cpu.cf = cf; cpu.zf = zf; cpu.sf = sf; "
-                     "cpu.of = of; cpu.pf = pf")
+            self.put(_FLAG_COMMIT)
             self.flags = False
 
     def flush(self, eip=None, extra_c=0, extra_i=0):
@@ -293,35 +457,21 @@ class _Emit:
         self.pc = 0
         self.pi = 0
 
+    def fargs(self):
+        """Trailing helper arguments carrying live flag locals."""
+        return ", cf, zf, sf, of, pf" if self.flags else ""
+
     # -- inlined MMU fast paths ----------------------------------------
     #
     # The fast paths are *commit-free*: they run entirely on locals
     # (the TLB dict, the RAM bytearray) and cannot raise, so the
     # pending counters stay batched.  Only the fallback branch — TLB
     # miss, permission failure, page split, MMIO, or an armed
-    # trace_write hook — commits the exact interpreted state first
-    # (a Trap escaping ``read_slow``/``write_slow`` then observes
-    # precisely what the interpreter would show), and un-commits it
-    # again on success so both branches rejoin in the same
-    # compile-time state.
-
-    def _slow_commit(self, addr, ind):
-        if self.flags:
-            # Keep the locals authoritative; attrs only need to be
-            # right at observation points, and this is one.
-            self.put("cpu.cf = cf; cpu.zf = zf; cpu.sf = sf; "
-                     "cpu.of = of; cpu.pf = pf", ind)
-        if self.pc:
-            self.put("cpu.cycles += %d" % self.pc, ind)
-        if self.pi:
-            self.put("cpu.instret += %d" % self.pi, ind)
-        self.put("cpu.eip = %d" % addr, ind)
-
-    def _slow_uncommit(self, ind):
-        if self.pc:
-            self.put("cpu.cycles -= %d" % self.pc, ind)
-        if self.pi:
-            self.put("cpu.instret -= %d" % self.pi, ind)
+    # trace_write hook — calls an out-of-line helper that commits the
+    # exact interpreted state first (a Trap escaping the bus access
+    # then observes precisely what the interpreter would show), and
+    # un-commits it again on success so both branches rejoin in the
+    # same compile-time state.
 
     def emit_read(self, addr, ea_src, size=4):
         """Inline ``mem_read(ea, size)`` -> local ``v`` (may Trap).
@@ -353,11 +503,9 @@ class _Emit:
         else:
             self.put("v = ram[ph]", k + 1)
         self.put("if v is None:")
-        self._slow_commit(addr, 1)
-        self.put("cpu.cycles += 1", 1)
-        self.put("v = read_slow(ea, %d, %s)" % (size, self.user), 1)
-        self.put("cpu.cycles -= 1", 1)
-        self._slow_uncommit(1)
+        self.put("v = RDS(cpu, ea, %d, %s, %d, %d, %d%s)"
+                 % (size, self.user, self.pc, self.pi, addr,
+                    self.fargs()), 1)
         self.pc += 1  # the access cycle, batched
         self.wc += 1
 
@@ -391,15 +539,8 @@ class _Emit:
         self.put("watch.note_write(ph, 4)", fast + 5)
         self.put("ok = True", fast + 4)
         self.put("if not ok:")
-        self._slow_commit(addr, 1)
-        if not self.user:
-            self.put("tw = cpu.trace_write", 1)
-            self.put("if tw is not None:", 1)
-            self.put("tw(ea, 4, wv)", 2)
-        self.put("cpu.cycles += 1", 1)
-        self.put("write_slow(ea, 4, wv, %s)" % self.user, 1)
-        self.put("cpu.cycles -= 1", 1)
-        self._slow_uncommit(1)
+        self.put("WRS(cpu, ea, wv, %s, %d, %d, %d%s)"
+                 % (self.user, self.pc, self.pi, addr, self.fargs()), 1)
         self.pc += 1  # the access cycle, batched
         self.wc += 1
         self.wrote = True
@@ -693,8 +834,12 @@ def _emit_branch_hook(em, addr, target, ind):
     em.put("tb(%d, %d)" % (addr, target), ind + 1)
 
 
-_FLAG_COMMIT = ("cpu.cf = cf; cpu.zf = zf; cpu.sf = sf; "
-                "cpu.of = of; cpu.pf = pf")
+def _seam_hook(em, c, i, target, addr):
+    """The trace hook of a followed transfer, out of line."""
+    em.put("tb = cpu.trace_branch")
+    em.put("if tb is not None:")
+    em.put("HOOK(cpu, tb, %d, %d, %d, %d%s)"
+           % (c, i, target, addr, em.fargs()), 1)
 
 
 def _emit_jmp_cont(em, ins, target):
@@ -707,16 +852,7 @@ def _emit_jmp_cont(em, ins, target):
     addr = ins.addr
     ft = (addr + ins.length) & M32
     if target != ft and target != addr:
-        em.put("tb = cpu.trace_branch")
-        em.put("if tb is not None:")
-        if em.flags:
-            em.put(_FLAG_COMMIT, 1)
-        em.put("cpu.cycles += %d" % (em.pc + 1), 1)
-        em.put("cpu.instret += %d" % (em.pi + 1), 1)
-        em.put("cpu.eip = %d" % target, 1)
-        em.put("tb(%d, %d)" % (addr, target), 1)
-        em.put("cpu.cycles -= %d" % (em.pc + 1), 1)
-        em.put("cpu.instret -= %d" % (em.pi + 1), 1)
+        _seam_hook(em, em.pc + 1, em.pi + 1, target, addr)
     em.pc += 1
     em.pi += 1
 
@@ -730,16 +866,7 @@ def _emit_call_cont(em, ins, target):
     em.emit_write(addr, "(regs[4] - 4) & 4294967295", "%d" % ft)
     em.put("regs[4] = ea")
     if target != ft and target != addr:
-        em.put("tb = cpu.trace_branch")
-        em.put("if tb is not None:")
-        if em.flags:
-            em.put(_FLAG_COMMIT, 1)
-        em.put("cpu.cycles += %d" % (em.pc + 2), 1)
-        em.put("cpu.instret += %d" % (em.pi + 1), 1)
-        em.put("cpu.eip = %d" % target, 1)
-        em.put("tb(%d, %d)" % (addr, target), 1)
-        em.put("cpu.cycles -= %d" % (em.pc + 2), 1)
-        em.put("cpu.instret -= %d" % (em.pi + 1), 1)
+        _seam_hook(em, em.pc + 2, em.pi + 1, target, addr)
     em.pc += 2
     em.pi += 1
 
@@ -783,14 +910,8 @@ def _stale_check(em, next_addr):
         return
     em.wrote = False
     em.put("if watch.stale:")
-    if em.flags:
-        em.put(_FLAG_COMMIT, 1)
-    if em.pc:
-        em.put("cpu.cycles += %d" % em.pc, 1)
-    if em.pi:
-        em.put("cpu.instret += %d" % em.pi, 1)
-    em.put("cpu.eip = %d" % next_addr, 1)
-    em.put("return", 1)
+    em.put("return EXIT(cpu, %d, %d, %d%s)"
+           % (em.pc, em.pi, next_addr, em.fargs()), 1)
 
 
 def _emit_term(em, ins):
@@ -893,7 +1014,7 @@ def _gen_source(items, user, end_eip):
     accesses + retire — conservative ``_cost`` for generic handler
     calls).  The source depends only on the instruction bytes and the
     CPL, so one compiled ``_make`` serves every machine cloned from
-    the same kernel (see ``_get_make``).
+    the same kernel (see :class:`Template`).
     """
     em = _Emit(user)
     terminated = False
@@ -932,7 +1053,7 @@ def _gen_source(items, user, end_eip):
         em.commit_flags()
         em.flush(eip=end_eip)
     header = ["def _make(bus, regs, ram, tlb, versions, watch, wpages, "
-              "read_slow, write_slow, RS, PAR, U32, P32, P8, U8, G):"]
+              "RS, PAR, U32, P32, P8, U8, G):"]
     for k in range(len(em.generics)):
         header.append("    ins%d, run%d = G[%d]" % (k, k, k))
     header.append("    def block(cpu):")
@@ -942,57 +1063,11 @@ def _gen_source(items, user, end_eip):
     return "\n".join(header + em.lines + footer), em.generics, worst
 
 
-#: source text -> compiled ``_make`` factory; shared process-wide so
-#: campaign clones re-translating the same kernel skip ``compile()``.
-_MAKE_CACHE = {}
-
-
-def _get_make(source):
-    fn = _MAKE_CACHE.get(source)
-    if fn is None:
-        if len(_MAKE_CACHE) > 16384:
-            _MAKE_CACHE.clear()
-        namespace = {}
-        exec(compile(source, "<translated-block>", "exec"), namespace)
-        fn = namespace["_make"]
-        _MAKE_CACHE[source] = fn
-    return fn
-
-
-#: ``(eip, user)`` -> list of block *templates*: everything about a
-#: translated block that depends only on the instruction bytes —
-#: ``(raw, make, generics, worst, eips, length)``.  A clone executing
-#: the same kernel validates the raw bytes still match (one translate +
-#: slice compare) and skips fetch, decode, and codegen entirely; a
-#: mismatch (an injected flip) falls through to fresh discovery, and a
-#: restored flip re-matches the original template.  Shared process-wide:
-#: campaign workers run thousands of near-identical machines.
-_TEMPLATES = {}
-_TEMPLATE_WAYS = 4
-
-
-def _code_bytes(bus, start, length, user):
-    """Current memory bytes at virtual ``[start, start+length)``.
-
-    Returns ``None`` when unmapped or outside RAM — callers then take
-    the ordinary discovery path, which handles the fault bit-exactly.
-    """
-    if length <= 0:
-        return None
-    pieces = []
-    v = start
-    end = start + length
-    try:
-        while v < end:
-            seg_end = min(end, ((v >> PAGE_SHIFT) + 1) << PAGE_SHIFT)
-            phys = bus.translate(v & M32, False, user)
-            if phys + (seg_end - v) > bus.ram_size:
-                return None
-            pieces.append(bus.ram[phys:phys + seg_end - v])
-            v = seg_end
-    except Trap:
-        return None
-    return b"".join(pieces)
+def _compile(source):
+    """Compile generated trace source into its ``_make`` factory."""
+    namespace = dict(_HELPERS)
+    exec(compile(source, "<translated-block>", "exec"), namespace)
+    return namespace["_make"]
 
 
 class BlockCache:
@@ -1009,16 +1084,22 @@ class BlockCache:
     CPL0 by virtual address alone, everything else by
     ``(tlb_gen, eip, cpl)`` so remaps age entries exactly like an
     I-TLB.
+
+    *code* is the :class:`CodeCache` of the kernel the machine runs
+    (heat, templates, CFG leaders); ``None`` gives this cache a
+    private one.
     """
 
-    def __init__(self, bus, leaders=frozenset(), max_blocks=8192):
+    def __init__(self, bus, code=None, max_blocks=8192):
         self.bus = bus
-        self.leaders = leaders
+        self.code = code if code is not None else CodeCache()
+        self.code.trim()
         self.max_blocks = max_blocks
         self.blocks = {}
         #: phys page -> [(lo, hi, key)] byte ranges of resident blocks
         self.page_ranges = {}
         self.translated = 0
+        self.compiled = 0
         self.hits = 0
         self.invalidations = 0
         self.single_steps = 0
@@ -1035,6 +1116,7 @@ class BlockCache:
     def stats(self):
         return {
             "blocks": self.translated,
+            "compiled": self.compiled,
             "hits": self.hits,
             "invalidations": self.invalidations,
             "single_steps": self.single_steps,
@@ -1129,57 +1211,105 @@ class BlockCache:
                 bucket.append((lo, hi, block.key))
         return True
 
-    def _materialize(self, cpu, eip, key, make, generics, worst, eips,
-                     spans):
+    def _materialize(self, cpu, key, tpl):
         """Bind a template to this machine and cache the Block."""
         bus = self.bus
-        if make is None:
-            block = Block(key, None, 0, eips)
+        if tpl.make is None:
+            block = Block(key, None, 0, tpl.eips)
         else:
-            fn = make(bus, cpu.regs, bus.ram, bus.tlb,
-                      bus.page_versions, self, self.page_ranges,
-                      bus.read, bus.write, bus.ram_size, _PARITY,
-                      _U32, _P32, _P8W, _U8W, generics)
-            block = Block(key, fn, worst, eips)
+            fn = tpl.make(bus, cpu.regs, bus.ram, bus.tlb,
+                          bus.page_versions, self, self.page_ranges,
+                          bus.ram_size, _PARITY, _U32, _P32, _P8W, _U8W,
+                          tpl.generics)
+            block = Block(key, fn, tpl.worst, tpl.eips)
         if len(self.blocks) >= self.max_blocks:
             self.flush()
-        if not self._register(block, cpu, spans):
+        if not self._register(block, cpu, tpl.spans):
             return None
         self.blocks[key] = block
         self.translated += 1
         return block
 
-    def _translate(self, cpu, eip, key):
-        """Discover, compile, register, and cache the trace at ``eip``.
+    def _translate(self, cpu, eip, key, tkey, horizon):
+        """Bind the trace of the hot head ``eip`` that dispatch missed
+        — compiling it first if no machine has yet — but only when the
+        trace can run right now.  ``tkey`` is the head's ``(eip,
+        user)`` heat and template key.
 
-        Returns the cached :class:`Block`, or ``None`` when the head is
-        undecodable (the single-step fallback will deliver the trap).
-
-        Discovery extends straight-line runs through direct ``jmp``
-        targets and ``jcc`` fallthroughs (taken sides become committed
-        side exits) until a real terminator, the fuel/cost caps, or an
-        address the trace already contains (loops re-dispatch, so hot
-        loop bodies stay cached per head).
+        Returns the cached :class:`Block`, or ``None`` to interpret this
+        instruction: the head is undecodable (the single-step fallback
+        delivers the trap), or its trace would cross the event horizon
+        or contain a DR0 address.  A refused trace keeps its generated
+        source in the template, so the next dispatch that can run it
+        compiles it without rediscovery.  Within ``WORST_CAP`` cycles
+        of the next timer tick a head with no template is not even
+        discovered: dispatch single-steps through the interiors of
+        refused traces there, so the heads it meets are mostly interior
+        addresses whose traces would be refused now and never
+        dispatched again away from a tick.
         """
-        user = cpu.cpl == 3
+        tpl = self._match(tkey)
+        if tpl is None:
+            if cpu.timer_interval \
+                    and cpu.cycles + WORST_CAP >= cpu.timer_next:
+                return None
+            tpl = self._discover(cpu, eip, tkey[1])
+            if tpl is None:
+                return None
+            self._remember(tkey, tpl)
+        if tpl.make is None and tpl.source is not None:
+            bp = cpu.bp_addrs
+            if cpu.cycles + tpl.worst >= horizon \
+                    or (bp and not tpl.eips.isdisjoint(bp)):
+                return None
+            tpl.make = _compile(tpl.source)
+            tpl.source = None
+            self.compiled += 1
+        return self._materialize(cpu, key, tpl)
+
+    def _match(self, tkey):
+        """The recorded template whose bytes match memory now."""
         bus = self.bus
-        tkey = (eip, user)
-        templates = _TEMPLATES.get(tkey)
-        if templates is not None:
-            for spans, raw, make, generics, worst, eips in templates:
-                pieces = []
-                for vs, vl in spans:
-                    piece = _code_bytes(bus, vs, vl, user)
-                    if piece is None:
-                        pieces = None
-                        break
-                    pieces.append(piece)
-                if pieces is not None and b"".join(pieces) == raw:
-                    return self._materialize(cpu, eip, key, make,
-                                             generics, worst, eips,
-                                             spans)
+        user = tkey[1]
+        for tpl in self.code.templates.get(tkey, ()):
+            pieces = []
+            for vs, vl in tpl.spans:
+                piece = bus.code_bytes(vs, vl, user)
+                if piece is None:
+                    pieces = None
+                    break
+                pieces.append(piece)
+            if pieces is not None and b"".join(pieces) == tpl.raw:
+                return tpl
+        return None
+
+    def _remember(self, tkey, tpl):
+        """Record a discovered template for every machine of the
+        kernel, evicting the oldest way of a full key."""
+        if not tpl.raw:
+            return
+        templates = self.code.templates
+        ways = templates.get(tkey)
+        if ways is None:
+            if len(templates) > CodeCache.MAX_TEMPLATE_KEYS:
+                templates.clear()
+            ways = templates[tkey] = []
+        if len(ways) >= CodeCache.TEMPLATE_WAYS:
+            del ways[0]
+        ways.append(tpl)
+
+    def _discover(self, cpu, eip, user):
+        """Decode the trace at ``eip`` and generate its source.
+
+        Returns a :class:`Template`, or ``None`` when the head is
+        undecodable.  Discovery extends straight-line runs through
+        direct ``jmp`` targets and ``jcc`` fallthroughs (taken sides
+        become committed side exits) until a real terminator, the
+        fuel/cost caps, or an address the trace already contains
+        (loops re-dispatch, so hot loop bodies stay cached per head).
+        """
         fetch = cpu._fetch
-        leaders = self.leaders
+        leaders = self.code.leaders
         items = []
         addr = eip
         span_start = eip
@@ -1259,36 +1389,20 @@ class BlockCache:
         if negative:
             if addr - eip <= 0:
                 return None
-            make = None
-            generics = None
-            worst = 0
-            eips = frozenset((eip,))
-            spans = ((eip, addr - eip),)
-            raw = ins.raw
-        elif items:
-            spans.append((span_start, addr - span_start))
-            # A trace ending exactly on a followed-jmp seam leaves a
-            # zero-length final span; it covers no bytes, drop it.
-            spans = tuple((vs, vl) for vs, vl in spans if vl > 0)
-            if not spans:
-                return None
-            source, gen_list, worst = _gen_source(items, user, addr)
-            make = _get_make(source)
-            generics = tuple(gen_list)
-            eips = frozenset(i.addr for i, _ in items)
-            raw = b"".join(i.raw for i, _ in items)
-        else:
+            return Template(((eip, addr - eip),), ins.raw, None, None, 0,
+                            frozenset((eip,)))
+        if not items:
             return None
-        if raw is not None and len(raw) > 0:
-            if templates is None:
-                if len(_TEMPLATES) > 65536:
-                    _TEMPLATES.clear()
-                templates = _TEMPLATES.setdefault(tkey, [])
-            if len(templates) >= _TEMPLATE_WAYS:
-                del templates[0]
-            templates.append((spans, raw, make, generics, worst, eips))
-        return self._materialize(cpu, eip, key, make, generics, worst,
-                                 eips, spans)
+        spans.append((span_start, addr - span_start))
+        # A trace ending exactly on a followed-jmp seam leaves a
+        # zero-length final span; it covers no bytes, drop it.
+        spans = tuple((vs, vl) for vs, vl in spans if vl > 0)
+        if not spans:
+            return None
+        source, generics, worst = _gen_source(items, user, addr)
+        return Template(spans, b"".join(i.raw for i, _ in items), source,
+                        tuple(generics), worst,
+                        frozenset(i.addr for i, _ in items))
 
     @staticmethod
     def _contains(items, target):
@@ -1316,11 +1430,14 @@ class BlockCache:
         """
         bus = self.bus
         get_block = self.blocks.get
+        heat = self.code.heat
+        hot = HOT_DISPATCHES
         deliver = cpu.deliver_trap
         # The loop only exits by raising (shutdown, watchdog, panic,
-        # budget); the hit counter lives in a local on the hot path
-        # and lands in telemetry on the way out.
+        # budget); the hit and step counters live in locals on the hot
+        # path and land in telemetry on the way out.
         hits = 0
+        steps = 0
         try:
             while True:
                 cycles = cpu.cycles
@@ -1358,7 +1475,7 @@ class BlockCache:
                         # injector); interpret this instruction so
                         # every hook interaction matches the reference
                         # loop, then re-derive the horizon.
-                        self.single_steps += 1
+                        steps += 1
                         _step_one(cpu, eip)
                         break
                     if cpu.cpl == 0 and eip >= KERNEL_SPACE:
@@ -1367,7 +1484,14 @@ class BlockCache:
                         key = (bus.tlb_gen, eip, cpu.cpl)
                     block = get_block(key)
                     if block is None:
-                        block = self._translate(cpu, eip, key)
+                        # Count the head's heat here: a cold head
+                        # (the common miss) costs no call.
+                        tkey = (eip, cpu.cpl == 3)
+                        dispatched = heat.get(tkey, 0) + 1
+                        heat[tkey] = dispatched
+                        if dispatched >= hot:
+                            block = self._translate(cpu, eip, key, tkey,
+                                                    horizon)
                     else:
                         hits += 1
                     if block is not None and block.fn is not None \
@@ -1387,8 +1511,9 @@ class BlockCache:
                         if cpu.cycles >= horizon:
                             break
                         continue
-                    self.single_steps += 1
+                    steps += 1
                     _step_one(cpu, eip)
                     break
         finally:
             self.hits += hits
+            self.single_steps += steps

@@ -199,7 +199,7 @@ class InjectionHarness:
                     self._golden[workload] = run
                     return run
             disk = build_standard_disk(self.binaries, workload)
-            machine = Machine(self.kernel, disk, translate=self.translate)
+            machine = self.boot_machine(disk)
             if self.recovery:
                 # Arm the ladder pre-boot so the post-boot snapshot
                 # (and every per-experiment clone) inherits it.
@@ -210,7 +210,6 @@ class InjectionHarness:
                 machine.enable_disk_retry(self.disk_retries)
             machine.run_until_console(BOOT_MARKER,
                                       max_cycles=10_000_000)
-            self.boots += 1
             boot_cycles = machine.cpu.cycles
             snapshot = machine.snapshot()
             if self.trace:
@@ -232,6 +231,16 @@ class InjectionHarness:
             if store is not None:
                 store.save(key, run)
         return run
+
+    def boot_machine(self, disk_image):
+        """A fresh machine about to boot *disk_image* from reset.
+
+        Runs in this harness's execution mode and is counted in
+        :attr:`boots`; the kernel configuration is the fail-stop
+        default, for the caller to patch before it runs.
+        """
+        self.boots += 1
+        return Machine(self.kernel, disk_image, translate=self.translate)
 
     def golden_critical_files(self):
         """The files whose corruption means reformat (paper §7.1)."""
@@ -277,7 +286,11 @@ class InjectionHarness:
         The paper measured and subtracted the switching time between the
         injector and the crash handler; we calibrate the same constant
         by forcing a known-instant crash (ud2 patched in at trigger
-        time) and reading back the dump's timestamp.
+        time) and reading back the dump's timestamp.  The calibration
+        run is a clone of the ``syscall`` golden snapshot with the
+        recovery ladder cleared, so it measures the fail-stop crash
+        path whatever this harness's kernel configuration, and costs
+        no boot.
         """
         if self._crash_overhead is None:
             store = None
@@ -288,14 +301,10 @@ class InjectionHarness:
                 if cached is not None:
                     self._crash_overhead = cached
                     return self._crash_overhead
-            workload = "syscall"
-            golden = self.golden(workload)
+            golden = self.golden("syscall")
             target = self.kernel.symbols["do_system_call"]
-            machine = Machine(self.kernel, golden.disk_image,
-                              translate=self.translate)
-            machine.run_until_console(BOOT_MARKER,
-                                      max_cycles=10_000_000)
-            self.boots += 1
+            machine = golden.snapshot.clone()
+            machine.write_word(self.kernel.symbols["recovery_enabled"], 0)
             state = {}
 
             def callback(m):
@@ -476,7 +485,8 @@ class InjectionHarness:
             if grade:
                 severity, fs_status = grade_severity(
                     self.kernel, result.disk_image,
-                    golden_files=self.golden_critical_files())
+                    golden_files=self.golden_critical_files(),
+                    boot=self.boot_machine)
                 fields.update(severity=severity, fs_status=fs_status)
             return InjectionResult(**fields)
         if result.status == "triple_fault":
@@ -499,7 +509,8 @@ class InjectionHarness:
         if grade and not same_disk:
             severity, fs_status = grade_severity(
                 self.kernel, result.disk_image,
-                golden_files=self.golden_critical_files())
+                golden_files=self.golden_critical_files(),
+                boot=self.boot_machine)
             fields.update(fs_status=fs_status)
             # A run that "succeeded" but left an unbootable system is the
             # paper's case 1: no crash, yet reformat required.
@@ -563,7 +574,8 @@ class InjectionHarness:
         if grade:
             severity, fs_status = grade_severity(
                 self.kernel, result.disk_image,
-                golden_files=self.golden_critical_files())
+                golden_files=self.golden_critical_files(),
+                boot=self.boot_machine)
             fields.update(severity=severity, fs_status=fs_status)
         return InjectionResult(**fields)
 

@@ -37,9 +37,8 @@ SEVERITY_DOWNTIME = {
 RECOVERED_DOWNTIME = 10
 
 
-def _reboots_cleanly(kernel, disk_image, budget=4_000_000):
+def _reboots_cleanly(machine, budget=4_000_000):
     """Try to bring the system back up with no workload configured."""
-    machine = Machine(kernel, disk_image)
     result = machine.run(max_cycles=budget)
     if result.status != "shutdown" or result.exit_code != 0:
         return False
@@ -48,7 +47,7 @@ def _reboots_cleanly(kernel, disk_image, budget=4_000_000):
 
 
 def grade_severity(kernel, disk_image, golden_files=None,
-                   check_reboot=True):
+                   check_reboot=True, boot=None):
     """Grade post-crash damage.
 
     Args:
@@ -58,6 +57,10 @@ def grade_severity(kernel, disk_image, golden_files=None,
             corruption is unrecoverable, e.g. ``/bin/init``.
         check_reboot: attempt an actual reboot when fsck found
             structural damage (slow; skipped for clean/dirty disks).
+        boot: ``boot(disk_image) -> Machine`` building the fail-stop
+            machine for the reboot attempt (the injection harness
+            passes its own, which counts the boot and runs in its
+            execution mode); defaults to a plain interpreted machine.
 
     Returns:
         ``(severity, fsck_status)``.
@@ -66,8 +69,11 @@ def grade_severity(kernel, disk_image, golden_files=None,
     if report.status == "unrecoverable":
         return SEVERITY_MOST_SEVERE, report.status
     if report.status == "inconsistent":
-        if check_reboot and not _reboots_cleanly(kernel, report.repaired):
-            return SEVERITY_MOST_SEVERE, report.status
+        if check_reboot:
+            machine = (boot(report.repaired) if boot is not None
+                       else Machine(kernel, report.repaired))
+            if not _reboots_cleanly(machine):
+                return SEVERITY_MOST_SEVERE, report.status
         return SEVERITY_SEVERE, report.status
     # clean or just mounted-dirty: the boot-time fsck handles it.
     return SEVERITY_NORMAL, report.status

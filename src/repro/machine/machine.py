@@ -79,7 +79,7 @@ class RunResult:
         #: :class:`~repro.tracing.ring.Trace` snapshot when the machine
         #: ran with :meth:`Machine.enable_trace`, else ``None``.
         self.trace = trace
-        #: Translation-cache telemetry dict (blocks translated, hits,
+        #: Translation-cache telemetry dict (blocks, compiled, hits,
         #: invalidations, single_steps, resident) when the machine ran
         #: with ``Machine(translate=True)``, else ``None``.  Telemetry
         #: only — a translated run's architectural results are
@@ -179,13 +179,16 @@ class Machine:
         """Attach a translated-execution block cache to this machine.
 
         Per-machine (closures are cheap to build but the underlying RAM
-        diverges between clones); the CFG leader sweep is cached on the
-        kernel image so campaigns pay it once.
+        diverges between clones); heat counts, compiled templates,
+        decoded instructions and the CFG leader sweep live in the
+        kernel image's code cache, so every machine of a campaign
+        shares them.
         """
-        from repro.cpu.translate import BlockCache, kernel_block_leaders
-        self.block_cache = BlockCache(
-            self.bus, leaders=kernel_block_leaders(self.kernel))
+        from repro.cpu.translate import BlockCache, code_cache
+        code = code_cache(self.kernel)
+        self.block_cache = BlockCache(self.bus, code)
         self.cpu.translator = self.block_cache
+        self.cpu.decode_memo = code.decoded
 
     # -- injection plumbing -------------------------------------------------
 

@@ -182,3 +182,50 @@ class TestUserRemapCoherence:
             pass
         assert cpu.regs[0] == 2, \
             "stale decode served after remap + TLB flush"
+
+
+class TestSharedDecodeMemo:
+    """Translating machines of one kernel share decoded instructions
+    (``CPU.decode_memo``); a machine whose bytes differ must never
+    reuse another machine's decode."""
+
+    SOURCE = """
+_start:
+    mov eax, 0
+    mov ecx, 10
+loop:
+target:
+    add eax, 1
+plain:
+    dec ecx
+    jne loop
+    hlt
+"""
+
+    def _run(self, memo, flip=None):
+        from repro.cpu.cpu import CpuHalted
+        cpu, program = flat_cpu(self.SOURCE)
+        cpu.decode_memo = memo
+        if flip is not None:
+            cpu.bus.phys_write(program.symbols["target"] + 2, 1, flip)
+        try:
+            cpu.run(10_000)
+        except CpuHalted:
+            pass
+        return cpu, program
+
+    def test_clone_with_flipped_bytes_decodes_afresh(self):
+        memo = {}
+        first, program = self._run(memo)
+        assert first.regs[0] == 10
+        plain = memo[(program.symbols["plain"], False)]
+        added = memo[(program.symbols["target"], False)]
+        flipped, _ = self._run(memo, flip=3)
+        assert flipped.regs[0] == 30           # the flip took effect
+        reference, _ = self._run(None, flip=3)
+        assert flipped.regs == reference.regs
+        assert flipped.cycles == reference.cycles
+        # Unchanged bytes reuse the first machine's decode; the flipped
+        # instruction was decoded again and replaced it.
+        assert memo[(program.symbols["plain"], False)] is plain
+        assert memo[(program.symbols["target"], False)] is not added

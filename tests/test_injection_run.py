@@ -4,6 +4,8 @@ import pytest
 
 from repro.injection.campaigns import InjectionSpec
 from repro.injection.outcomes import latency_bucket
+from repro.injection.runner import BOOT_MARKER, InjectionHarness
+from repro.machine.machine import Machine
 
 
 def make_spec(kernel, function, byte_offset, bit, campaign="A",
@@ -19,6 +21,25 @@ def make_spec(kernel, function, byte_offset, bit, campaign="A",
         bit=bit,
         mnemonic=mnemonic,
     )
+
+
+def fresh_boot_calibration(kernel, golden):
+    """The crash-overhead calibration as it was done by booting: a
+    fresh fail-stop machine boots the golden disk, and ud2 is patched
+    over ``do_system_call`` at its first post-boot execution."""
+    target = kernel.symbols["do_system_call"]
+    machine = Machine(kernel, golden.disk_image)
+    machine.run_until_console(BOOT_MARKER, max_cycles=10_000_000)
+    state = {}
+
+    def callback(m):
+        state["tsc"] = m.cpu.cycles
+        m.write_byte(target, 0x0F)
+        m.write_byte(target + 1, 0x0B)  # ud2
+
+    machine.arm_breakpoint(target, callback)
+    result = machine.run(max_cycles=golden.cycles * 2 + 10 ** 6)
+    return result.crash.tsc - state["tsc"]
 
 
 class TestKnownOutcomes:
@@ -165,6 +186,23 @@ class TestHarnessInfrastructure:
         overhead = harness.crash_overhead()
         assert 0 < overhead < 2000
         assert harness.crash_overhead() == overhead
+
+    @pytest.mark.parametrize("recovery,disk_retries",
+                             [(False, 0), (False, 2), (True, 0), (True, 2)])
+    def test_crash_overhead_matches_fresh_boot_calibration(
+            self, kernel, binaries, profile, recovery, disk_retries):
+        # The calibration clones the syscall golden snapshot and clears
+        # the recovery ladder; it must read the same constant as the
+        # fresh fail-stop boot it replaced, for every kernel
+        # configuration, and cost no boot.
+        calibrating = InjectionHarness(kernel, binaries, profile,
+                                       recovery=recovery,
+                                       disk_retries=disk_retries)
+        golden = calibrating.golden("syscall")
+        boots = calibrating.boots
+        assert calibrating.crash_overhead() \
+            == fresh_boot_calibration(kernel, golden)
+        assert calibrating.boots == boots
 
     def test_latency_bucket_labels(self):
         assert latency_bucket(0) == "0-10"

@@ -155,6 +155,28 @@ class TestSeverityReboot:
         assert status == "inconsistent"
         assert severity == "severe"
 
+    def test_harness_reboot_is_counted_in_its_mode(self, kernel, binaries,
+                                                   translated_harness):
+        """A harness routes the reboot attempt through its own boot:
+        counted in ``boots``, in its execution mode, same grade."""
+        import struct as _struct
+        from repro.injection.severity import grade_severity
+        from repro.machine.machine import build_standard_disk
+        disk = bytearray(build_standard_disk(binaries, None))
+        _struct.pack_into("<I", disk, 8 * 4, 0)
+        disk[BLOCK_SIZE + 2] = 0
+        machines = []
+
+        def boot(image):
+            machines.append(translated_harness.boot_machine(image))
+            return machines[-1]
+
+        boots = translated_harness.boots
+        assert grade_severity(kernel, bytes(disk), boot=boot) \
+            == ("severe", "inconsistent")
+        assert translated_harness.boots == boots + 1
+        assert [m.translate for m in machines] == [True]
+
     def test_repaired_but_unbootable_is_most_severe(self, kernel,
                                                     binaries):
         """fsck repair succeeds but init is gone: reformat class."""

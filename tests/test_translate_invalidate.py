@@ -9,9 +9,16 @@ boundary instead of finishing stale.  These tests drive the cache and
 the plain interpreter through identical budget-interleaved flip
 protocols and require bit-identical architectural state throughout —
 the same contract the injection campaigns rely on.
+
+The protocols flip bytes of *resident* blocks, so every test here pins
+the tiering threshold to one dispatch: a head is compiled the first
+time dispatch meets it (tests/test_translate_tiering.py covers the
+production threshold).
 """
 
 import hashlib
+
+import pytest
 
 from repro.cpu.cpu import CPU, CpuHalted, WatchdogExpired
 from repro.cpu.memory import MemoryBus
@@ -43,6 +50,11 @@ def build(source=LOOP_SRC, translate=False, ram=0x100000):
     cpu.regs[4] = 0x8000
     cache = BlockCache(bus) if translate else None
     return cpu, program, cache
+
+
+@pytest.fixture
+def compile_on_first_dispatch(monkeypatch):
+    monkeypatch.setattr("repro.cpu.translate.HOT_DISPATCHES", 1)
 
 
 def fingerprint(cpu):
@@ -86,6 +98,7 @@ def both_engines(source, protocol):
     return fingerprint(cpu_i), fingerprint(cpu_t), cache
 
 
+@pytest.mark.usefixtures("compile_on_first_dispatch")
 class TestFlipInvalidation:
     def test_flip_inside_block_matches_interpreter(self):
         # Flip the `add eax, 1` immediate to 3 mid-loop: the resident
@@ -131,6 +144,7 @@ class TestFlipInvalidation:
         assert after["resident"] < before["resident"]
 
 
+@pytest.mark.usefixtures("compile_on_first_dispatch")
 class TestBoundaryWrites:
     def _resident_block(self):
         cpu, program, cache = build(translate=True)
@@ -174,6 +188,7 @@ class TestBoundaryWrites:
         assert cache.invalidations == invalidations
 
 
+@pytest.mark.usefixtures("compile_on_first_dispatch")
 class TestSelfModifyingStore:
     SMC_SRC = """
 _start:
