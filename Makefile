@@ -43,8 +43,6 @@ ci:
 	PYTHONPATH=src $(PY) -m repro.experiments.static_propagation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.trace_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.fault_model_study --smoke
-	PYTHONPATH=src $(PY) -m repro.experiments.fault_model_study --smoke \
-		--translate
 	PYTHONPATH=src $(PY) -m repro.experiments.fabric_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.delta_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.equivalence_validation \

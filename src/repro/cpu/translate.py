@@ -1461,10 +1461,10 @@ class BlockCache:
                         and cpu.alarm_cycle < horizon:
                     horizon = cpu.alarm_cycle
                 while True:
-                    if cpu.pending_irq and cpu.if_flag:
+                    irq = cpu.pending_irq and cpu.if_flag
+                    if irq:
                         cpu.pending_irq = False
                         deliver(VEC_TIMER_IRQ, None, cpu.eip)
-                        break
                     eip = cpu.eip
                     bp = cpu.bp_addrs
                     if bp and eip in bp:
@@ -1475,6 +1475,14 @@ class BlockCache:
                         # injector); interpret this instruction so
                         # every hook interaction matches the reference
                         # loop, then re-derive the horizon.
+                        steps += 1
+                        _step_one(cpu, eip)
+                        break
+                    if irq:
+                        # The reference loop runs the handler's first
+                        # instruction in the iteration that delivered
+                        # the IRQ, before any event test: delivery may
+                        # have crossed the budget or an alarm.
                         steps += 1
                         _step_one(cpu, eip)
                         break

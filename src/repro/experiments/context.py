@@ -40,7 +40,7 @@ class ExperimentContext:
     """Builds and caches everything the experiments share."""
 
     def __init__(self, scale="quick", seed=2003, results_dir=None,
-                 verbose=False, jobs=1, resume=False, translate=False):
+                 verbose=False, jobs=1, resume=False):
         if scale not in SCALES:
             raise ValueError("unknown scale %r (have %s)"
                              % (scale, sorted(SCALES)))
@@ -50,10 +50,6 @@ class ExperimentContext:
         self.verbose = verbose
         self.jobs = jobs
         self.resume = resume
-        #: Run every harness through the translated fast path
-        #: (bit-identical, just faster); the CI translated smoke leg
-        #: flips this via an exhibit's ``--translate`` flag.
-        self.translate = bool(translate)
         self._kernel = None
         self._binaries = None
         self._profile = None
@@ -61,7 +57,6 @@ class ExperimentContext:
         self._recovery_harness = None
         self._traced_harness = None
         self._retry_harness = None
-        self._translated_harness = None
         self._campaigns = {}
         self._recovery_campaigns = {}
         self._traced_campaigns = {}
@@ -96,8 +91,7 @@ class ExperimentContext:
     def harness(self):
         if self._harness is None:
             self._harness = InjectionHarness(self.kernel, self.binaries,
-                                             self.profile,
-                                             translate=self.translate)
+                                             self.profile)
         return self._harness
 
     @property
@@ -105,8 +99,7 @@ class ExperimentContext:
         """Harness whose runs boot the recovery-enabled kernel."""
         if self._recovery_harness is None:
             self._recovery_harness = InjectionHarness(
-                self.kernel, self.binaries, self.profile, recovery=True,
-                translate=self.translate)
+                self.kernel, self.binaries, self.profile, recovery=True)
         return self._recovery_harness
 
     @property
@@ -114,23 +107,8 @@ class ExperimentContext:
         """Harness whose runs carry the execution flight recorder."""
         if self._traced_harness is None:
             self._traced_harness = InjectionHarness(
-                self.kernel, self.binaries, self.profile, trace=True,
-                translate=self.translate)
+                self.kernel, self.binaries, self.profile, trace=True)
         return self._traced_harness
-
-    @property
-    def translated_harness(self):
-        """Harness whose machines run the translated fast path.
-
-        Bit-identical to :attr:`harness` (the differential suite
-        enforces it), just faster — the CI smoke leg runs one exhibit
-        through this harness to keep the mode exercised end to end.
-        """
-        if self._translated_harness is None:
-            self._translated_harness = InjectionHarness(
-                self.kernel, self.binaries, self.profile,
-                translate=True)
-        return self._translated_harness
 
     @property
     def retry_harness(self):
@@ -143,8 +121,7 @@ class ExperimentContext:
         if self._retry_harness is None:
             self._retry_harness = InjectionHarness(
                 self.kernel, self.binaries, self.profile,
-                disk_retries=DEFAULT_DISK_RETRIES,
-                translate=self.translate)
+                disk_retries=DEFAULT_DISK_RETRIES)
         return self._retry_harness
 
     @property
@@ -320,8 +297,6 @@ class ExperimentContext:
             return self.traced_harness
         if variant == "retry":
             return self.retry_harness
-        if variant == "translated":
-            return self.translated_harness
         return self.harness
 
     def _cache_for(self, variant):

@@ -225,17 +225,12 @@ def main(argv=None):
     parser.add_argument("--results-dir", default=None,
                         help="campaign JSON cache directory")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--translate", action="store_true",
-                        help="run every machine through the translated "
-                             "fast path (bit-identical; the CI "
-                             "translated smoke leg)")
     args = parser.parse_args(argv)
 
     scale = "tiny" if args.smoke else args.scale
     ctx = ExperimentContext(scale=scale, seed=args.seed,
                             results_dir=args.results_dir,
-                            verbose=True, jobs=args.jobs,
-                            translate=args.translate)
+                            verbose=True, jobs=args.jobs)
     if args.smoke:
         failures = smoke(ctx)
         if failures:

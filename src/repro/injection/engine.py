@@ -389,6 +389,15 @@ class _Worker:
         self.deadline = time.monotonic() + timeout
         self.conn.send(index)
 
+    def stop(self):
+        """Ask an idle worker to exit; True if it had died instead."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass
+        self.process.join(timeout=5)
+        return self.process.exitcode not in (0, None)
+
     def kill(self):
         try:
             self.conn.close()
@@ -572,11 +581,10 @@ class CampaignEngine:
                                    meta, workers, ctx, grade, seed)
         finally:
             for worker in workers:
-                try:
-                    if worker.current is None and worker.process.is_alive():
-                        worker.conn.send(None)
-                except (OSError, BrokenPipeError):
-                    pass
+                # A worker that died right after its last delivery was
+                # never seen dead by the loop; count it as _retire does.
+                if worker.current is None and worker.stop():
+                    meta["worker_failures"] += 1
                 worker.kill()
 
     def _assign_idle(self, workers, queue, not_before, config):

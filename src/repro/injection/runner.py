@@ -143,7 +143,7 @@ class InjectionHarness:
     def __init__(self, kernel, binaries, profile, watchdog_factor=3,
                  watchdog_slack=250_000, recovery=False, trace=False,
                  trace_channels=DEFAULT_CHANNELS, trace_capacity=None,
-                 disk_retries=0, snapshot_store=None, translate=False):
+                 disk_retries=0, snapshot_store=None, translate=True):
         self.kernel = kernel
         self.binaries = binaries
         self.profile = profile
@@ -152,11 +152,12 @@ class InjectionHarness:
         self.recovery = recovery
         self.disk_retries = disk_retries
         self.trace = trace
-        #: Execute every machine (golden and injected) through the
-        #: translated fast path (:mod:`repro.cpu.translate`).  Purely a
-        #: throughput knob: results are bit-identical to interpretation
-        #: (tests/test_translate_differential.py), so it is *not* part
-        #: of the snapshot-store key.
+        #: Execute every machine (golden boots, clones, severity
+        #: reboots) through the translated fast path
+        #: (:mod:`repro.cpu.translate`).  Results are bit-identical to
+        #: interpretation, so it is *not* part of the snapshot-store
+        #: key; ``translate=False`` builds the interpreted reference
+        #: the differential tests compare against.
         self.translate = bool(translate)
         self.trace_channels = tuple(trace_channels)
         self.trace_capacity = trace_capacity
@@ -221,6 +222,7 @@ class InjectionHarness:
             coverage = set()
             result = machine.run(max_cycles=120_000_000,
                                  coverage=coverage)
+            machine.close()
             if result.status != "shutdown" or result.exit_code != 0:
                 raise RuntimeError("golden run of %r failed: %r"
                                    % (workload, result))
@@ -314,6 +316,7 @@ class InjectionHarness:
 
             machine.arm_breakpoint(target, callback)
             result = machine.run(max_cycles=golden.cycles * 2 + 10**6)
+            machine.close()
             if result.crash is None or "tsc" not in state:
                 self._crash_overhead = 0
             else:
@@ -368,24 +371,26 @@ class InjectionHarness:
         # Clone the booted machine instead of re-running the (identical,
         # fault-free) boot: same protocol, ~2x the campaign throughput.
         machine = golden.snapshot.clone()
-        if self.trace:
-            machine.enable_trace(channels=self.trace_channels,
-                                 capacity=self.trace_capacity)
         state = {}
+        try:
+            if self.trace:
+                machine.enable_trace(channels=self.trace_channels,
+                                     capacity=self.trace_capacity)
+            if model is not None:
+                model.arm(self, machine, spec, state)
+            else:
+                def callback(m):
+                    state["tsc"] = m.cpu.cycles
+                    state["instret"] = m.cpu.instret
+                    m.flip_bit(spec.target_byte_addr, spec.bit)
 
-        if model is not None:
-            model.arm(self, machine, spec, state)
-        else:
-            def callback(m):
-                state["tsc"] = m.cpu.cycles
-                state["instret"] = m.cpu.instret
-                m.flip_bit(spec.target_byte_addr, spec.bit)
-
-            machine.arm_breakpoint(spec.instr_addr, callback)
-        budget = machine.cpu.cycles \
-            + golden.workload_cycles * self.watchdog_factor \
-            + self.watchdog_slack
-        result = machine.run(max_cycles=budget)
+                machine.arm_breakpoint(spec.instr_addr, callback)
+            budget = machine.cpu.cycles \
+                + golden.workload_cycles * self.watchdog_factor \
+                + self.watchdog_slack
+            result = machine.run(max_cycles=budget)
+        finally:
+            machine.close()
         outcome = self._classify(spec, base, state, golden, result,
                                  grade)
         if self.trace and outcome.activated:

@@ -39,7 +39,10 @@ RECOVERED_DOWNTIME = 10
 
 def _reboots_cleanly(machine, budget=4_000_000):
     """Try to bring the system back up with no workload configured."""
-    result = machine.run(max_cycles=budget)
+    try:
+        result = machine.run(max_cycles=budget)
+    finally:
+        machine.close()
     if result.status != "shutdown" or result.exit_code != 0:
         return False
     return "INIT: no workload configured" in result.console \

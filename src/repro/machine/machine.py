@@ -283,6 +283,30 @@ class Machine:
         info = self.kernel.find_function(eip)
         return info.subsystem if info is not None else "(kernel)"
 
+    def close(self):
+        """Tear the machine down once its last run has been read.
+
+        A machine sits in reference cycles: the bus's device table
+        and the disk controller point at each other, the injector's
+        hooks close over the machine and its CPU, and the translator
+        is both the bus's code watch and the owner of trace closures
+        bound to the bus.  Breaking them here lets refcounting free
+        the 8 MiB of RAM and the caches when the caller drops the
+        machine, instead of whenever the cyclic collector next runs.
+        Returned :class:`RunResult` objects stay valid; the machine
+        itself must not run again.
+        """
+        cpu = self.cpu
+        cpu.on_breakpoint = cpu.on_trap_entry = cpu.on_alarm = None
+        cpu.trace_branch = cpu.trace_trap = cpu.trace_write = None
+        cpu.translator = None
+        self.disk.fault_notify = None
+        self.tracer = None
+        self.bus.devices = []
+        self.bus.code_watch = None
+        if self.block_cache is not None:
+            self.block_cache.flush()
+
     def read_byte(self, vaddr):
         return self.bus.phys_read(vaddr - self.layout.KERNEL_BASE, 1)
 

@@ -123,6 +123,7 @@ def profile_kernel(kernel, binaries, workloads, sample_interval=211,
         result, samples = machine.run_sampled(
             max_cycles=max_cycles, sample_interval=sample_interval,
             skip_cycles=skip_boot_cycles)
+        machine.close()
         if result.status != "shutdown":
             raise RuntimeError("profiling run of %r did not complete: %r"
                                % (workload, result))

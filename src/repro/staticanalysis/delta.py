@@ -748,6 +748,8 @@ def plan_delta(harness, base_kernel, source_journal, campaign_key,
                                       coverage=coverage)
         except Exception:
             return None
+        finally:
+            machine.close()
         coverage |= harness.golden(workload).coverage
         names = set()
         for eip in coverage:

@@ -36,9 +36,11 @@ def traced_harness(kernel, binaries, profile):
 
 
 @pytest.fixture(scope="session")
-def translated_harness(kernel, binaries, profile):
+def interpreted_harness(kernel, binaries, profile):
+    """The interpreter reference the translating default is checked
+    against (the differential oracle)."""
     from repro.injection.runner import InjectionHarness
-    return InjectionHarness(kernel, binaries, profile, translate=True)
+    return InjectionHarness(kernel, binaries, profile, translate=False)
 
 
 @pytest.fixture(scope="session")

@@ -117,13 +117,13 @@ class TestFaultModelDeterminism:
 
     @pytest.mark.parametrize("kind",
                              ("disk", "intermittent", "mem", "reg_trap"))
-    def test_translated_matches_serial(self, translated_harness,
+    def test_translated_matches_serial(self, interpreted_harness,
                                        serials, kind):
-        # The translated fast path is a fourth execution mode: the
-        # same campaign through the block cache must reproduce the
-        # interpreter's results bit for bit, fault model included.
-        translated = self._run(translated_harness, kind)
-        assert ([r.to_dict() for r in translated.results]
+        # The serial runs go through the default translated fast
+        # path: the same campaign on the interpreter (the oracle)
+        # must reproduce them bit for bit, fault model included.
+        interpreted = self._run(interpreted_harness, kind)
+        assert ([r.to_dict() for r in interpreted.results]
                 == [r.to_dict() for r in serials[kind].results])
 
     @pytest.mark.parametrize("kind",

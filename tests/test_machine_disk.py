@@ -156,7 +156,7 @@ class TestSeverityReboot:
         assert severity == "severe"
 
     def test_harness_reboot_is_counted_in_its_mode(self, kernel, binaries,
-                                                   translated_harness):
+                                                   harness):
         """A harness routes the reboot attempt through its own boot:
         counted in ``boots``, in its execution mode, same grade."""
         import struct as _struct
@@ -168,13 +168,13 @@ class TestSeverityReboot:
         machines = []
 
         def boot(image):
-            machines.append(translated_harness.boot_machine(image))
+            machines.append(harness.boot_machine(image))
             return machines[-1]
 
-        boots = translated_harness.boots
+        boots = harness.boots
         assert grade_severity(kernel, bytes(disk), boot=boot) \
             == ("severe", "inconsistent")
-        assert translated_harness.boots == boots + 1
+        assert harness.boots == boots + 1
         assert [m.translate for m in machines] == [True]
 
     def test_repaired_but_unbootable_is_most_severe(self, kernel,

@@ -55,10 +55,11 @@ class TestBitIdentity:
                                              grade=False)
             assert arch_fingerprint(traced) == arch_fingerprint(plain)
 
-    def test_translated_golden_run_is_bit_identical(self, harness,
-                                                    translated_harness):
-        plain = harness.golden("syscall")
-        translated = translated_harness.golden("syscall")
+    def test_translated_golden_run_is_bit_identical(self,
+                                                    interpreted_harness,
+                                                    harness):
+        plain = interpreted_harness.golden("syscall")
+        translated = harness.golden("syscall")
         assert translated.console == plain.console
         assert translated.exit_code == plain.exit_code
         assert translated.cycles == plain.cycles
@@ -66,13 +67,14 @@ class TestBitIdentity:
         assert translated.final_disk == plain.final_disk
 
     def test_translated_injected_runs_are_bit_identical(
-            self, harness, translated_harness):
+            self, interpreted_harness, harness):
         import copy
         specs = fs_sample(harness)
         assert specs
         for spec in specs:
-            plain = harness.run_spec(copy.deepcopy(spec), grade=False)
-            translated = translated_harness.run_spec(
+            plain = interpreted_harness.run_spec(copy.deepcopy(spec),
+                                                 grade=False)
+            translated = harness.run_spec(
                 copy.deepcopy(spec), grade=False)
             assert translated.to_dict() == plain.to_dict()
 
@@ -85,12 +87,12 @@ class TestBitIdentity:
         # interpreter's traced result INCLUDING the trace fields.
         import copy
         from repro.injection.runner import InjectionHarness
-        translated_traced = InjectionHarness(kernel, binaries, profile,
-                                             trace=True, translate=True)
+        interpreted_traced = InjectionHarness(kernel, binaries, profile,
+                                              trace=True, translate=False)
         for spec in fs_sample(traced_harness):
-            plain = traced_harness.run_spec(copy.deepcopy(spec),
-                                            grade=False)
-            translated = translated_traced.run_spec(
+            plain = interpreted_traced.run_spec(copy.deepcopy(spec),
+                                                grade=False)
+            translated = traced_harness.run_spec(
                 copy.deepcopy(spec), grade=False)
             assert translated.to_dict() == plain.to_dict()
 

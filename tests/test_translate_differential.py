@@ -59,15 +59,15 @@ class TestLockstepProperty:
     @given(index=st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_random_spec_bit_identical(self, harness,
-                                       translated_harness, index):
+    def test_random_spec_bit_identical(self, interpreted_harness,
+                                       harness, index):
         pool = spec_pool(harness)
         spec = pool[index % len(pool)]
         key = index % len(pool)
         if key not in self._reference:
-            self._reference[key] = harness.run_spec(
+            self._reference[key] = interpreted_harness.run_spec(
                 copy.deepcopy(spec), grade=False).to_dict()
-        translated = translated_harness.run_spec(
+        translated = harness.run_spec(
             copy.deepcopy(spec), grade=False).to_dict()
         assert translated == self._reference[key]
 
@@ -82,23 +82,24 @@ def _dicts(results):
 
 
 class TestSeededSlice:
-    def test_campaign_a_slice(self, harness, translated_harness):
-        interp = harness.run_campaign("A", seed=2003, byte_stride=18,
-                                      max_specs=140, grade=False,
-                                      jobs=2)
-        translated = translated_harness.run_campaign(
+    def test_campaign_a_slice(self, interpreted_harness, harness):
+        interp = interpreted_harness.run_campaign(
+            "A", seed=2003, byte_stride=18, max_specs=140, grade=False,
+            jobs=2)
+        translated = harness.run_campaign(
             "A", seed=2003, byte_stride=18, max_specs=140,
             grade=False, jobs=2)
         assert len(interp) >= 140
         assert _dicts(translated) == _dicts(interp)
 
-    def test_intermittent_fault_model_slice(self, harness,
-                                            translated_harness):
-        interp = run_fault_model_campaign(harness, "intermittent",
-                                          seed=2003, max_specs=40,
-                                          grade=False, jobs=2)
+    def test_intermittent_fault_model_slice(self, interpreted_harness,
+                                            harness):
+        interp = run_fault_model_campaign(interpreted_harness,
+                                          "intermittent", seed=2003,
+                                          max_specs=40, grade=False,
+                                          jobs=2)
         translated = run_fault_model_campaign(
-            translated_harness, "intermittent", seed=2003,
+            harness, "intermittent", seed=2003,
             max_specs=40, grade=False, jobs=2)
         assert len(interp) >= 20
         assert _dicts(translated) == _dicts(interp)
@@ -106,9 +107,9 @@ class TestSeededSlice:
     def test_recovery_kernel_slice(self, kernel, binaries, profile):
         from repro.injection.runner import InjectionHarness
         interp_h = InjectionHarness(kernel, binaries, profile,
-                                    recovery=True)
+                                    recovery=True, translate=False)
         xlate_h = InjectionHarness(kernel, binaries, profile,
-                                   recovery=True, translate=True)
+                                   recovery=True)
         interp = interp_h.run_campaign("A", seed=2003, byte_stride=40,
                                        max_specs=25, grade=False,
                                        jobs=2)
@@ -118,6 +119,30 @@ class TestSeededSlice:
                                           jobs=2)
         assert len(interp) >= 20
         assert _dicts(translated) == _dicts(interp)
+
+
+# ----------------------------------------------------------------------
+# timer-IRQ boundaries
+# ----------------------------------------------------------------------
+
+
+class TestIrqBoundary:
+    def test_sampled_profile_matches_interpreter(self, kernel, binaries):
+        # Kernprof-style sampling stops the run every 211 cycles.  The
+        # interpreter delivers a timer IRQ and executes the handler's
+        # first instruction in one loop iteration, before any budget
+        # test, so a window whose budget the delivery crosses must
+        # stop both engines at the same instruction.
+        from repro.machine.machine import Machine, build_standard_disk
+        runs = []
+        for translate in (False, True):
+            machine = Machine(kernel, build_standard_disk(binaries, "dhry"),
+                              translate=translate)
+            result, samples = machine.run_sampled(sample_interval=211,
+                                                  skip_cycles=260_000)
+            runs.append((result.cycles, result.instret, samples))
+        assert runs[0][2]
+        assert runs[1] == runs[0]
 
 
 # ----------------------------------------------------------------------
