@@ -1402,42 +1402,143 @@ def _h_lds(cpu, ins):
 # -- string operations --------------------------------------------------
 
 
+def _bulk_movs(cpu, size, count):
+    """Copy up to *count* elements of a forward ``rep movs`` at once.
+
+    Serves only elements the inlined TLB fast paths of ``mem_read`` and
+    ``mem_write`` would: both ranges inside one TLB-resident page each
+    and in RAM, the destination writable, privilege allowed on both
+    pages, and the destination not inside ``(src, src + length)``,
+    where an element-wise copy would replicate its first elements.
+    Accounting matches the element loop: two cycles and one
+    ``page_versions`` bump per element, one ``note_write`` over the
+    range.  Returns the number of elements copied; 0 declines, and
+    the caller's element loop takes the next one.
+    """
+    regs = cpu.regs
+    bus = cpu.bus
+    esi = regs[6]
+    edi = regs[7]
+    src_off = esi & 0xFFF
+    dst_off = edi & 0xFFF
+    n = min(count, (4096 - src_off) // size, (4096 - dst_off) // size)
+    if n <= 0:
+        return 0
+    src = bus.tlb.get(esi >> 12)
+    dst = bus.tlb.get(edi >> 12)
+    if src is None or dst is None or not dst[1] & 2 \
+            or (cpu.cpl == 3 and not src[1] & dst[1] & 4):
+        return 0
+    length = n * size
+    src_phys = (src[0] << 12) | src_off
+    dst_phys = (dst[0] << 12) | dst_off
+    if src_phys + length > bus.ram_size or dst_phys + length > bus.ram_size \
+            or src_phys < dst_phys < src_phys + length:
+        return 0
+    ram = bus.ram
+    ram[dst_phys:dst_phys + length] = ram[src_phys:src_phys + length]
+    bus.page_versions[dst_phys >> 12] += n
+    watch = bus.code_watch
+    if watch is not None and dst_phys >> 12 in watch.page_ranges:
+        watch.note_write(dst_phys, length)
+    cpu.cycles += 2 * n
+    regs[6] = (esi + length) & M32
+    regs[7] = (edi + length) & M32
+    regs[1] = (regs[1] - n) & M32
+    return n
+
+
+def _bulk_stos(cpu, size, count, value):
+    """Store up to *count* elements of a forward ``rep stos`` at once.
+
+    Serves only elements the inlined TLB fast path of ``mem_write``
+    would (the range inside one writable TLB-resident page in RAM,
+    privilege allowed), with its accounting: one cycle and one
+    ``page_versions`` bump per element, one ``note_write`` over the
+    range.  Returns the number of elements stored; 0 declines.
+    """
+    regs = cpu.regs
+    bus = cpu.bus
+    edi = regs[7]
+    offset = edi & 0xFFF
+    n = min(count, (4096 - offset) // size)
+    if n <= 0:
+        return 0
+    entry = bus.tlb.get(edi >> 12)
+    if entry is None or not entry[1] & 2 \
+            or (cpu.cpl == 3 and not entry[1] & 4):
+        return 0
+    length = n * size
+    phys = (entry[0] << 12) | offset
+    if phys + length > bus.ram_size:
+        return 0
+    bus.ram[phys:phys + length] = value.to_bytes(size, "little") * n
+    bus.page_versions[phys >> 12] += n
+    watch = bus.code_watch
+    if watch is not None and phys >> 12 in watch.page_ranges:
+        watch.note_write(phys, length)
+    cpu.cycles += n
+    regs[7] = (edi + length) & M32
+    regs[1] = (regs[1] - n) & M32
+    return n
+
+
 def _h_movs(cpu, ins):
     size = ins.size
     step = -size if cpu.df else size
+    regs = cpu.regs
     if ins.rep is None:
-        value = cpu.mem_read(cpu.regs[6], size)
-        cpu.mem_write(cpu.regs[7], size, value)
-        cpu.regs[6] = (cpu.regs[6] + step) & M32
-        cpu.regs[7] = (cpu.regs[7] + step) & M32
+        value = cpu.mem_read(regs[6], size)
+        cpu.mem_write(regs[7], size, value)
+        regs[6] = (regs[6] + step) & M32
+        regs[7] = (regs[7] + step) & M32
         return
+    # Forward copies with no store observer go a page at a time; any
+    # element the bulk path declines (TLB miss, page crossing, fault)
+    # takes the element loop, which keeps trap points exact.
+    bulk = step > 0 and cpu.trace_write is None and cpu.bus.paging_enabled
     iterations = 0
-    while cpu.regs[1] and iterations < _REP_CHUNK:
-        value = cpu.mem_read(cpu.regs[6], size)
-        cpu.mem_write(cpu.regs[7], size, value)
-        cpu.regs[6] = (cpu.regs[6] + step) & M32
-        cpu.regs[7] = (cpu.regs[7] + step) & M32
-        cpu.regs[1] = (cpu.regs[1] - 1) & M32
+    while regs[1] and iterations < _REP_CHUNK:
+        if bulk:
+            done = _bulk_movs(cpu, size,
+                              min(regs[1], _REP_CHUNK - iterations))
+            if done:
+                iterations += done
+                continue
+        value = cpu.mem_read(regs[6], size)
+        cpu.mem_write(regs[7], size, value)
+        regs[6] = (regs[6] + step) & M32
+        regs[7] = (regs[7] + step) & M32
+        regs[1] = (regs[1] - 1) & M32
         iterations += 1
-    if cpu.regs[1]:
+    if regs[1]:
         cpu.next_eip = ins.addr  # resume the rep after host events
 
 
 def _h_stos(cpu, ins):
     size = ins.size
     step = -size if cpu.df else size
-    value = cpu.regs[0] & _mask(size)
+    regs = cpu.regs
+    value = regs[0] & _mask(size)
     if ins.rep is None:
-        cpu.mem_write(cpu.regs[7], size, value)
-        cpu.regs[7] = (cpu.regs[7] + step) & M32
+        cpu.mem_write(regs[7], size, value)
+        regs[7] = (regs[7] + step) & M32
         return
+    bulk = step > 0 and cpu.trace_write is None and cpu.bus.paging_enabled
     iterations = 0
-    while cpu.regs[1] and iterations < _REP_CHUNK:
-        cpu.mem_write(cpu.regs[7], size, value)
-        cpu.regs[7] = (cpu.regs[7] + step) & M32
-        cpu.regs[1] = (cpu.regs[1] - 1) & M32
+    while regs[1] and iterations < _REP_CHUNK:
+        if bulk:
+            done = _bulk_stos(cpu, size,
+                              min(regs[1], _REP_CHUNK - iterations),
+                              value)
+            if done:
+                iterations += done
+                continue
+        cpu.mem_write(regs[7], size, value)
+        regs[7] = (regs[7] + step) & M32
+        regs[1] = (regs[1] - 1) & M32
         iterations += 1
-    if cpu.regs[1]:
+    if regs[1]:
         cpu.next_eip = ins.addr
 
 

@@ -61,7 +61,18 @@ class DiskDevice:
     the controller stop answering reads (sticky — the device is gone),
     and ``transient`` fails the next N reads with a media error and
     then recovers, which a driver retry path can mask entirely.
+
+    A machine's run depends on its disk only through the sectors it
+    transfers.  While :attr:`transferred` is a dict (a shared boot arms
+    it; it is ``None`` otherwise, so campaign machines pay nothing) the
+    controller records each sector's content before its first
+    transfer, read or write: a snapshot can then continue as the boot
+    of any image that matches it there
+    (:meth:`~repro.machine.machine.MachineSnapshot.clone`).
     """
+
+    #: Controller state a snapshot carries (registers, then counters).
+    STATE = ("sector", "count", "dma", "status", "reads", "writes")
 
     SECTOR_SIZE = 512
 
@@ -94,6 +105,8 @@ class DiskDevice:
         self.fault_bit = 0          # corrupt: bit to flip
         self.fault_notify = None    # callback() on each faulted read
         self.faulted_reads = 0
+        #: sector -> content before its first transfer, or None.
+        self.transferred = None
 
     def arm_fault(self, kind, ops=1, byte_offset=0, bit=0, notify=None):
         """Arm a device-level read fault.
@@ -175,6 +188,13 @@ class DiskDevice:
         if self.dma + length > self.bus.ram_size:
             self.status = 2
             return
+        record = self.transferred
+        if record is not None and cmd in (self.CMD_READ, self.CMD_WRITE):
+            size = self.SECTOR_SIZE
+            for sector in range(self.sector, self.sector + self.count):
+                if sector not in record:
+                    at = sector * size
+                    record[sector] = bytes(self.image[at:at + size])
         if cmd == self.CMD_READ:
             if self.fault_kind is not None \
                     and self._fault_read(start, length):

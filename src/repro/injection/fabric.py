@@ -47,6 +47,7 @@ import signal
 import time
 import traceback
 
+from repro.cpu.translate import code_cache
 from repro.injection.engine import (
     CampaignEngine,
     CampaignJournal,
@@ -63,7 +64,7 @@ from repro.injection.outcomes import HARNESS_ERROR, InjectionResult
 SHARD_SCHEMA_VERSION = 1
 
 #: Version of the boot-snapshot store's pickle payload.
-STORE_VERSION = 1
+STORE_VERSION = 2
 
 #: How a shard failure is reported in coordinator telemetry.
 SHARD_DIED = "shard_died"
@@ -452,8 +453,9 @@ class SnapshotStore:
 
 #: MachineSnapshot attributes beyond the CPU field dict that the store
 #: serializes (the kernel/layout references are re-attached on thaw).
-_SNAP_STATE = ("ram", "cr3", "paging_enabled", "disk", "console",
-               "regs", "segs", "dr", "fields")
+_SNAP_STATE = ("ram", "cr3", "paging_enabled", "tlb", "tlb_gen", "disk",
+               "disk_state", "transferred", "console", "regs", "segs",
+               "dr", "fields")
 
 #: Golden RunResult fields the store round-trips (a golden run shut
 #: down cleanly, so there are no crash records and no trace).
@@ -686,6 +688,11 @@ class FabricCoordinator:
         for workload in sorted({s.workload for s in specs
                                 if s.workload}):
             self.harness.golden(workload)
+        if self.harness.translate:
+            # Thawed goldens build no translating machine here, so
+            # build the kernel's code cache (its CFG leader sweep) once
+            # for the forks to inherit, instead of once per shard.
+            code_cache(self.harness.kernel)
         meta = {
             "mode": "fabric",
             "shards": shard_count,

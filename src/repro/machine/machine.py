@@ -19,6 +19,10 @@ from repro.machine.disk import LIBC_CONTENT, mkfs
 
 DEFAULT_WATCHDOG = 30_000_000
 
+#: Cycles between the snapshots a shared boot keeps: each costs a copy
+#: of RAM, and a rebased clone repeats at most this much of the prefix.
+SHARED_BOOT_KEEP_EVERY = 16_384
+
 
 class CrashRecord:
     """Parsed kernel crash dump (written by the kernel's crash handler).
@@ -431,6 +435,9 @@ class MachineSnapshot:
     campaigns snapshot the freshly-booted machine once per workload and
     clone it per experiment.  Cloning copies every mutable buffer, so a
     clone is exactly as pristine as a fresh boot (verified by test).
+    The disk controller's registers and the TLB are state too: a
+    snapshot taken between a driver's SECTOR and CMD writes, or between
+    a page-table update and its flush, resumes exactly.
     """
 
     CPU_FIELDS = ("eip", "cf", "pf", "zf", "sf", "of", "if_flag", "df",
@@ -442,10 +449,20 @@ class MachineSnapshot:
         cpu = machine.cpu
         self.kernel = machine.kernel
         self.layout = machine.layout
-        self.ram = bytes(machine.bus.ram)
-        self.cr3 = machine.bus.cr3
-        self.paging_enabled = machine.bus.paging_enabled
-        self.disk = bytes(machine.disk.image)
+        bus = machine.bus
+        disk = machine.disk
+        self.ram = bytes(bus.ram)
+        self.cr3 = bus.cr3
+        self.paging_enabled = bus.paging_enabled
+        self.tlb = dict(bus.tlb)
+        self.tlb_gen = bus.tlb_gen
+        self.disk = bytes(disk.image)
+        self.disk_state = tuple(getattr(disk, name)
+                                for name in DiskDevice.STATE)
+        #: sector -> content before its first transfer when the disk
+        #: recorded transfers (see :meth:`clone`), else ``None``.
+        self.transferred = (dict(disk.transferred)
+                            if disk.transferred is not None else None)
         self.console = bytes(machine.console.buffer)
         self.regs = list(cpu.regs)
         self.segs = list(cpu.segs)
@@ -458,21 +475,34 @@ class MachineSnapshot:
         #: it (the state itself is mode-independent).
         self.translate = getattr(machine, "translate", False)
 
-    def clone(self):
-        """Materialize a runnable Machine from this snapshot."""
+    def clone(self, disk=None):
+        """Materialize a runnable Machine from this snapshot.
+
+        With *disk*, the clone continues as the boot of that image
+        instead: a run depends on its disk only through the sectors it
+        has transferred, so the clone keeps this snapshot's content for
+        every sector transferred so far and takes *disk*'s everywhere
+        else.  Raises ``ValueError`` unless the snapshot recorded its
+        transfers and *disk* matches it in length and in every
+        transferred sector's content before that transfer.
+        """
+        image = self.disk if disk is None else self._rebase(disk)
         machine = Machine.__new__(Machine)
         machine.kernel = self.kernel
         machine.layout = self.layout
         lay = self.layout
-        from repro.cpu.memory import MemoryBus
         bus = MemoryBus(lay.RAM_BYTES)
         bus.ram[:] = self.ram
         bus.cr3 = self.cr3
         bus.paging_enabled = self.paging_enabled
+        bus.tlb.update(self.tlb)
+        bus.tlb_gen = self.tlb_gen
         machine.bus = bus
         machine.console = ConsoleDevice()
         machine.console.buffer[:] = self.console
-        machine.disk = DiskDevice(bus, self.disk)
+        machine.disk = DiskDevice(bus, image)
+        for name, value in zip(DiskDevice.STATE, self.disk_state):
+            setattr(machine.disk, name, value)
         machine.dump = DumpDevice()
         bus.attach_device(lay.CONSOLE_PHYS, 0x100, machine.console)
         bus.attach_device(lay.DISK_PHYS, 0x100, machine.disk)
@@ -494,6 +524,71 @@ class MachineSnapshot:
         if machine.translate:
             machine._arm_translation()
         return machine
+
+    def _rebase(self, image):
+        """*image* with this snapshot's transferred sectors (see clone)."""
+        if self.transferred is None:
+            raise ValueError("snapshot recorded no disk transfers")
+        if len(image) != len(self.disk):
+            raise ValueError("disk image is %d bytes, the snapshot's %d"
+                             % (len(image), len(self.disk)))
+        size = DiskDevice.SECTOR_SIZE
+        rebased = bytearray(image)
+        for sector, before in self.transferred.items():
+            at = sector * size
+            if rebased[at:at + size] != before:
+                raise ValueError("disk image differs in transferred "
+                                 "sector %d" % sector)
+            rebased[at:at + size] = self.disk[at:at + size]
+        return rebased
+
+
+def shared_boot(kernel, images, window, limit):
+    """Boot once for several disk images; the snapshot to clone each from.
+
+    Boots ``images[0]`` in windows of *window* cycles, each stopping at
+    the first instruction boundary at or past ``cycles + window``, as
+    :meth:`Machine.run_sampled` does, and records disk transfers.  A
+    snapshot is kept every :data:`SHARED_BOOT_KEEP_EVERY` cycles or so.
+    The boot stops after the window that first transfers a sector in
+    which the images differ, or that ends at or past *limit*; the last
+    snapshot kept before it is returned, and
+    :meth:`MachineSnapshot.clone` with ``disk=image`` continues it as
+    the boot of any of the images.
+
+    Returns ``None`` when fewer than two images are given, their
+    lengths differ, or the boot stopped before the first snapshot.
+    """
+    images = list(images)
+    if len(images) < 2 or any(len(image) != len(images[0])
+                              for image in images):
+        return None
+    first = images[0]
+    size = DiskDevice.SECTOR_SIZE
+    differ = {at // size for at in range(0, len(first), size)
+              if any(image[at:at + size] != first[at:at + size]
+                     for image in images[1:])}
+    machine = Machine(kernel, first)
+    machine.disk.transferred = record = {}
+    cpu = machine.cpu
+    kept = None
+    next_keep = SHARED_BOOT_KEEP_EVERY
+    try:
+        while True:
+            try:
+                cpu.run(cpu.cycles + window)
+            except WatchdogExpired:
+                pass
+            if cpu.cycles >= limit or not differ.isdisjoint(record):
+                break
+            if cpu.cycles >= next_keep:
+                kept = machine.snapshot()
+                next_keep = cpu.cycles + SHARED_BOOT_KEEP_EVERY
+    except (MachineShutdown, CpuHalted, TripleFault):
+        pass
+    finally:
+        machine.close()
+    return kept
 
 
 def parse_bx_header(image):

@@ -10,7 +10,8 @@ samples).
 
 from collections import Counter
 
-from repro.machine.machine import Machine, build_standard_disk
+from repro.machine.machine import Machine, build_standard_disk, \
+    shared_boot
 
 
 class FunctionProfile:
@@ -101,6 +102,14 @@ def profile_kernel(kernel, binaries, workloads, sample_interval=211,
                    max_cycles=60_000_000, skip_boot_cycles=260_000):
     """Profile the kernel under each workload (the paper's §4 procedure).
 
+    The workloads' boots are identical until the kernel first
+    transfers a sector where their disk images differ, so that prefix
+    is simulated once (:func:`~repro.machine.machine.shared_boot`) and
+    each workload continues from a clone of it.  The boot's windows
+    stop where :meth:`~repro.machine.machine.Machine.run_sampled`
+    samples and end before *skip_boot_cycles*, so the profile is
+    bit-identical to one that boots every workload from reset.
+
     Args:
         kernel: built :class:`~repro.kernel.build.KernelImage`.
         binaries: name -> UserBinary (must include init and workloads).
@@ -117,9 +126,17 @@ def profile_kernel(kernel, binaries, workloads, sample_interval=211,
     total = 0
     kernel_hits = 0
     user_hits = 0
-    for workload in workloads:
-        disk = build_standard_disk(binaries, workload)
-        machine = Machine(kernel, disk)
+    workloads = list(workloads)
+    disks = [build_standard_disk(binaries, w) for w in workloads]
+    shared = shared_boot(kernel, disks, window=sample_interval,
+                         limit=skip_boot_cycles)
+    for index, (workload, disk) in enumerate(zip(workloads, disks)):
+        if shared is not None:
+            machine = shared.clone(disk=disk)
+            if index == len(disks) - 1:
+                shared = None       # its RAM copy is not needed again
+        else:
+            machine = Machine(kernel, disk)
         result, samples = machine.run_sampled(
             max_cycles=max_cycles, sample_interval=sample_interval,
             skip_cycles=skip_boot_cycles)

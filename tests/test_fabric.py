@@ -344,6 +344,11 @@ class TestSnapshotStore:
         assert thawed.cycles == golden.cycles
         assert thawed.coverage == golden.coverage
         assert thawed.boot_cycles == golden.boot_cycles
+        # the controller's registers and the TLB are snapshot state
+        for name in ("tlb", "tlb_gen", "disk_state"):
+            assert getattr(thawed.snapshot, name) \
+                == getattr(golden.snapshot, name), name
+        assert golden.snapshot.tlb and golden.snapshot.disk_state[1]
 
     def test_warm_store_results_are_bit_identical(self, kernel,
                                                   binaries, profile,
