@@ -2,9 +2,8 @@
 
 PY ?= python3
 
-.PHONY: install test bench bench-static bench-trace bench-fabric \
-	bench-delta bench-equiv bench-jit ci lint-kernel experiments \
-	experiments-full clean
+.PHONY: install test bench bench-static bench-fabric bench-delta \
+	bench-jit ci lint-kernel experiments experiments-full clean
 
 install:
 	pip install -e .
@@ -45,14 +44,9 @@ ci:
 	PYTHONPATH=src $(PY) -m repro.experiments.fault_model_study --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.fabric_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.delta_validation --smoke
-	PYTHONPATH=src $(PY) -m repro.experiments.equivalence_validation \
-		--smoke --jobs 4
-	PYTHONPATH=src $(PY) benchmarks/bench_trace.py --smoke --gate 1.5
 	PYTHONPATH=src $(PY) benchmarks/bench_jit.py --smoke --gate 3.0
 	PYTHONPATH=src $(PY) benchmarks/bench_fabric.py --smoke
 	PYTHONPATH=src $(PY) benchmarks/bench_delta.py --smoke \
-		--max-fraction 0.5
-	PYTHONPATH=src $(PY) benchmarks/bench_equiv.py --smoke --jobs 4 \
 		--max-fraction 0.5
 
 bench:
@@ -61,10 +55,6 @@ bench:
 # Whole-image static-analysis timings -> BENCH_static.json.
 bench-static:
 	PYTHONPATH=src $(PY) benchmarks/bench_static.py
-
-# Flight-recorder overhead -> BENCH_trace.json (gate: <= 1.5x).
-bench-trace:
-	PYTHONPATH=src $(PY) benchmarks/bench_trace.py --gate 1.5
 
 # Campaign-fabric boot amortization -> BENCH_fabric.json (gate: a warm
 # snapshot store means zero kernel boots).
@@ -76,11 +66,6 @@ bench-fabric:
 # wall-clock speedup >= 1).
 bench-delta:
 	PYTHONPATH=src $(PY) benchmarks/bench_delta.py --max-fraction 0.5
-
-# Equivalence-class pruning -> BENCH_equiv.json (gate: injected
-# fraction <= 0.5; extrapolation accuracy and speedup reported).
-bench-equiv:
-	PYTHONPATH=src $(PY) benchmarks/bench_equiv.py --max-fraction 0.5
 
 # Translated-execution speedup -> BENCH_jit.json (gate: >= 3x over
 # the interpreter on the syscall workload, bit-identical).

@@ -4,7 +4,7 @@ The interpreter in :mod:`repro.cpu.cpu` re-decodes, re-dispatches, and
 re-checks host events (watchdog, timer, alarm, pending IRQ, DR0
 breakpoints) for every retired instruction.  Campaigns execute tens of
 millions of instructions, so that per-instruction overhead is the
-binding cost of every experiment (see BENCH_trace.json / ROADMAP.md).
+binding cost of every experiment (see BENCH_jit.json / ROADMAP.md).
 
 This module pre-decodes *traces* — straight-line instruction runs
 seeded at the statically recovered CFG's block leaders

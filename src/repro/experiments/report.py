@@ -6,7 +6,6 @@ from repro.experiments import (
     assertions_study,
     availability_model,
     delta_validation,
-    equivalence_validation,
     fabric_validation,
     fault_model_study,
     register_extension,
@@ -58,8 +57,6 @@ _EXHIBITS = (
     ("Extension — pluggable fault-model study", fault_model_study),
     ("Extension — campaign-fabric equivalence", fabric_validation),
     ("Extension — delta-campaign equivalence", delta_validation),
-    ("Extension — equivalence-class extrapolation",
-     equivalence_validation),
 )
 
 

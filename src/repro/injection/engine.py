@@ -166,6 +166,20 @@ def read_journal_lines(path):
     return records, clean
 
 
+def result_records(records):
+    """The journal records among *records* that hold a run's result.
+
+    A record carrying an ``extrapolated`` block is not a result: older
+    releases journaled such records for sites they never ran, copying
+    the outcome of another site in the same static class.  Resume
+    re-runs their indices, a shard merge lists them as missing and a
+    delta campaign does not carry them forward.
+    """
+    return (record for record in records
+            if record.get("type") == "result"
+            and "extrapolated" not in record)
+
+
 def prefer_result(first, second):
     """The canonical result among duplicates journaled for one index.
 
@@ -227,9 +241,7 @@ class CampaignJournal:
             return {}
         self._check_header(records[0], fingerprint)
         completed = {}
-        for record in records[1:]:
-            if record.get("type") != "result":
-                continue
+        for record in result_records(records[1:]):
             index = self._local_index(record["index"])
             if index is None:
                 continue
@@ -321,25 +333,6 @@ class CampaignJournal:
         self._write({"type": "result", "index": stored,
                      "result": result.to_dict(),
                      "carried": dict(provenance)})
-
-    def record_extrapolated(self, index, result, provenance):
-        """Journal a result extrapolated from a class pilot's outcome
-        (see :mod:`repro.staticanalysis.equivalence`).
-
-        Same contract as :meth:`record_carried`: a normal result
-        record plus an ``extrapolated`` provenance block
-        (``{pilot_index, class_fp, n_members}``).  Loaders ignore the
-        extra key, so resume and shard-merge treat extrapolated
-        results exactly like executed ones and the exactly-once
-        invariant is shared.
-        """
-        stored = self._stored_index(index)
-        if stored in self._seen:
-            return
-        self._seen.add(stored)
-        self._write({"type": "result", "index": stored,
-                     "result": result.to_dict(),
-                     "extrapolated": dict(provenance)})
 
     def _write(self, record):
         self._fh.write(json.dumps(record) + "\n")

@@ -56,6 +56,7 @@ from repro.injection.engine import (
     plan_fingerprint,
     prefer_result,
     read_journal_lines,
+    result_records,
     run_spec_contained,
 )
 from repro.injection.outcomes import HARNESS_ERROR, InjectionResult
@@ -324,9 +325,7 @@ def merge_shard_journals(paths, plan_fp=None, n_specs=None):
                                     header.get("seed"), n_specs or 0)
         merged.journals += 1
         merged.shards_seen.append((index, count))
-        for record in records[1:]:
-            if record.get("type") != "result":
-                continue
+        for record in result_records(records[1:]):
             global_index = record["index"]
             if global_index % count != index \
                     or not 0 <= global_index < (n_specs or 0):

@@ -592,9 +592,7 @@ class InjectionHarness:
                      timeout=None, retries=2, max_worker_failures=3,
                      journal_path=None, resume=False,
                      static_verdicts=False, delta_from=None,
-                     delta_base_kernel=None, equivalence=False,
-                     prune_dead=False, equiv_pilots=2,
-                     equiv_audit=0.15):
+                     delta_base_kernel=None):
         """Plan and execute a whole campaign; returns CampaignResults.
 
         Execution goes through the fault-tolerant engine
@@ -617,39 +615,7 @@ class InjectionHarness:
         run against *delta_base_kernel* whose records are carried
         forward wherever the static differ proves them bit-identical,
         leaving only the impacted remainder to execute.
-
-        *equivalence* switches to an equivalence-pruned pilot campaign
-        (:mod:`repro.staticanalysis.equivalence`): sites are grouped
-        by static class fingerprint, only *equiv_pilots* seeded pilots
-        per class plus an *equiv_audit* fraction of seeded audit
-        members execute, and every remaining member's result is
-        extrapolated from its class pilot with journaled provenance.
-        *prune_dead* composes: statically dead sites are dropped
-        before partitioning.
         """
-        if equivalence:
-            if delta_from is not None:
-                raise ValueError(
-                    "equivalence and delta_from are mutually "
-                    "exclusive; run the delta first, then use its "
-                    "journal as an equivalence baseline")
-            if static_verdicts:
-                raise ValueError(
-                    "equivalence campaigns cannot enrich specs: "
-                    "extrapolated records would clone stale pilot "
-                    "verdict enrichment")
-            from repro.staticanalysis.equivalence import \
-                run_equiv_campaign
-            return run_equiv_campaign(
-                self, campaign_key, seed=seed,
-                byte_stride=byte_stride, functions=functions,
-                max_per_function=max_per_function,
-                max_specs=max_specs, grade=grade, progress=progress,
-                jobs=jobs, timeout=timeout, retries=retries,
-                max_worker_failures=max_worker_failures,
-                journal_path=journal_path, resume=resume,
-                pilots_per_class=equiv_pilots,
-                audit_fraction=equiv_audit, prune_dead=prune_dead)
         if delta_from is not None:
             if delta_base_kernel is None:
                 raise ValueError(
@@ -672,8 +638,7 @@ class InjectionHarness:
         functions, specs = self.plan_specs(
             campaign_key, functions=functions, seed=seed,
             byte_stride=byte_stride, max_per_function=max_per_function,
-            max_specs=max_specs, static_verdicts=static_verdicts,
-            prune_dead=prune_dead)
+            max_specs=max_specs, static_verdicts=static_verdicts)
         config = EngineConfig(jobs=jobs, timeout=timeout,
                               retries=retries,
                               max_worker_failures=max_worker_failures,
@@ -697,8 +662,7 @@ class InjectionHarness:
 
     def plan_specs(self, campaign_key, functions=None, seed=2003,
                    byte_stride=1, max_per_function=None,
-                   max_specs=None, static_verdicts=False,
-                   prune_dead=False):
+                   max_specs=None, static_verdicts=False):
         """Deterministic planning half of :meth:`run_campaign`.
 
         Returns ``(functions, specs)``.  Split out so the campaign
@@ -712,8 +676,7 @@ class InjectionHarness:
         specs = plan_campaign(self.kernel, campaign_key, functions,
                               seed=seed, byte_stride=byte_stride,
                               max_per_function=max_per_function,
-                              static_verdicts=static_verdicts,
-                              prune_dead=prune_dead)
+                              static_verdicts=static_verdicts)
         if max_specs is not None:
             specs = specs[:max_specs]
         return functions, specs

@@ -228,7 +228,9 @@ def _lookup(image, path):
             return None
         found = None
         for name, child in list_dir(image, ino):
-            if name == part:
+            # An entry naming an inode outside the table is absent,
+            # the same bound fsck's walk applies.
+            if name == part and 0 < child < N_INODES:
                 found = child
                 break
         if found is None:

@@ -18,10 +18,6 @@ the image for defects the dynamic campaigns only find by crashing:
   dead write, length change, branch reversal, unknown).
 * :mod:`repro.staticanalysis.stackdepth` — symbolic stack-depth
   fixpoint used by the linter's stack-imbalance rule.
-* :mod:`repro.staticanalysis.equivalence` — fault-site equivalence
-  classes: static partitioning of injection sites by canonical class
-  fingerprint, pilot-only campaigns with audited extrapolation
-  (``repro.tools.kequiv`` CLI).
 * :mod:`repro.staticanalysis.linter` — image lint rules (unreachable
   blocks, fall-through off a function end, user-pointer dereferences
   outside ``__ex_table`` coverage, stack imbalance) behind the
@@ -54,18 +50,9 @@ from repro.staticanalysis.predict import (
     PreClassifier,
     classify_flip,
 )
-from repro.staticanalysis.equivalence import (
-    EquivalencePlan,
-    SitePartitioner,
-    describe_site_class,
-    plan_equivalence,
-    run_equiv_campaign,
-)
 from repro.staticanalysis.linter import KernelLinter, LintFinding
 
 __all__ = [
-    "EquivalencePlan", "SitePartitioner", "describe_site_class",
-    "plan_equivalence", "run_equiv_campaign",
     "BasicBlock", "FunctionCFG", "build_cfg", "build_callgraph",
     "describe_block",
     "instr_defs_uses", "liveness", "live_after_map",

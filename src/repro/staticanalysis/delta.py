@@ -120,6 +120,7 @@ from repro.injection.engine import (
     plan_fingerprint,
     prefer_result,
     read_journal_lines,
+    result_records,
 )
 from repro.injection.outcomes import (
     HARNESS_ERROR,
@@ -593,9 +594,7 @@ def load_journal_results(path):
     records, _ = read_journal_lines(path)
     header = _journal_header(records, path)
     by_coords = {}
-    for record in records:
-        if record.get("type") != "result":
-            continue
+    for record in result_records(records):
         payload = record.get("result") or {}
         result = InjectionResult.from_dict(payload)
         coords = (result.function, result.addr, result.byte_offset,
@@ -734,10 +733,10 @@ def plan_delta(harness, base_kernel, source_journal, campaign_key,
         touches, measured instruction-by-instruction.  ``None`` when
         the instrumented boot fails (carry nothing)."""
         from repro.injection.runner import BOOT_MARKER
-        from repro.machine.machine import Machine, build_standard_disk
+        from repro.machine.machine import build_standard_disk
         coverage = set()
         disk = build_standard_disk(harness.binaries, workload)
-        machine = Machine(harness.kernel, disk)
+        machine = harness.boot_machine(disk)
         if harness.recovery:
             machine.enable_recovery()
         if harness.disk_retries:

@@ -7,7 +7,7 @@ site and print the matching ``FAULT:`` annotation, e.g.::
 
     FAULT: reg flip edx bit 17 @ trap entry
 
-Campaign-sizing helpers (kdelta, kequiv): the shared
+Campaign-sizing helpers (kdelta, kfabric): the shared
 ``campaign --seed --stride --max-specs --scale`` option group and the
 scale-preset resolution both campaign CLIs size their plans with.
 """
@@ -23,7 +23,7 @@ MODEL_CHOICES = ("instr", "mem", "reg", "reg_trap", "intermittent",
 
 
 def add_campaign_options(parser):
-    """Install the shared campaign sizing options (kdelta, kequiv)."""
+    """Install the shared campaign sizing options (kdelta, kfabric)."""
     parser.add_argument("campaign", help="campaign key (A, B, C, ...)")
     parser.add_argument("--seed", type=int, default=2003)
     parser.add_argument("--stride", type=int, default=None,

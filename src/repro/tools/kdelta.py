@@ -31,12 +31,13 @@ import argparse
 import json
 import sys
 
-from repro.injection.runner import CampaignResults, InjectionHarness
+from repro.injection.runner import InjectionHarness
 from repro.staticanalysis.delta import (
     RECOVERY_GATE_EDIT,
     diff_kernels,
     plan_delta,
 )
+from repro.tools.faultcli import add_campaign_options, scale_params
 
 
 def _add_edit_options(parser):
@@ -58,18 +59,12 @@ def _edits(args, parser):
 
 
 def _add_plan_options(parser):
-    from repro.tools.faultcli import add_campaign_options
     add_campaign_options(parser)
     parser.add_argument("--from", dest="source", required=True,
                         metavar="JOURNAL",
                         help="prior campaign journal (run against the "
                              "unedited kernel)")
     _add_edit_options(parser)
-
-
-def _scale_params(args):
-    from repro.tools.faultcli import scale_params
-    return scale_params(args)
 
 
 def _build_kernels(edits):
@@ -129,7 +124,7 @@ def _plan(args):
     edits = _edits(args, args.parser)
     base, new = _build_kernels(edits)
     harness = _build_harness(base, new)
-    stride, cap = _scale_params(args)
+    stride, cap = scale_params(args)
     plan = plan_delta(harness, base, args.source, args.campaign,
                       seed=args.seed, byte_stride=stride,
                       max_specs=cap)
@@ -170,7 +165,7 @@ def cmd_run(args):
     edits = _edits(args, args.parser)
     base, new = _build_kernels(edits)
     harness = _build_harness(base, new)
-    stride, cap = _scale_params(args)
+    stride, cap = scale_params(args)
     results = harness.run_campaign(
         args.campaign, seed=args.seed, byte_stride=stride,
         max_specs=cap, jobs=args.jobs, journal_path=args.journal,

@@ -25,7 +25,6 @@ a kernel/workload pair boots once per store, not once per shard.
 
 import argparse
 import json
-import os
 import sys
 
 from repro.injection.fabric import (
@@ -39,32 +38,15 @@ from repro.injection.fabric import (
 )
 from repro.injection.engine import plan_fingerprint
 from repro.injection.runner import CampaignResults, InjectionHarness
+from repro.tools.faultcli import add_campaign_options, scale_params
 
 
 def _add_plan_options(parser):
-    parser.add_argument("campaign", help="campaign key (A, B, C, ...)")
-    parser.add_argument("--seed", type=int, default=2003)
-    parser.add_argument("--stride", type=int, default=None,
-                        help="byte stride (default from --scale)")
-    parser.add_argument("--max-specs", type=int, default=None,
-                        help="spec cap (default from --scale)")
-    parser.add_argument("--scale", default="quick",
-                        help="sizing preset supplying stride/cap "
-                             "defaults (tiny/quick/standard/full)")
+    add_campaign_options(parser)
     parser.add_argument("--store", default=None,
                         help="boot-snapshot store directory (shared "
                              "across shards: one boot per "
                              "kernel/workload pair)")
-
-
-def _scale_params(args):
-    from repro.experiments.context import SCALES
-    stride, cap = args.stride, args.max_specs
-    if stride is None or cap is None:
-        preset = SCALES[args.scale][args.campaign]
-        stride = preset[0] if stride is None else stride
-        cap = preset[1] if cap is None else cap
-    return stride, cap
 
 
 def _parse_shard(text, parser):
@@ -93,7 +75,7 @@ def _build_harness(args):
 
 
 def _plan(harness, args):
-    stride, cap = _scale_params(args)
+    stride, cap = scale_params(args)
     functions, specs = harness.plan_specs(
         args.campaign, seed=args.seed, byte_stride=stride,
         max_specs=cap)
@@ -200,7 +182,7 @@ def cmd_merge(args):
 
 def cmd_campaign(args):
     harness = _build_harness(args)
-    stride, cap = _scale_params(args)
+    stride, cap = scale_params(args)
     config = FabricConfig(pool=args.pool, shard_jobs=args.jobs,
                           chaos_kills=args.chaos,
                           chaos_seed=args.seed,

@@ -8,13 +8,9 @@ BIT of byte BYTE of its first instruction, or use --addr-offset to pick
 another instruction) and prints the fully symbolized oops report:
 registers, the corrupted code listing, the call-trace guess, a TRACE
 section with the last branches the flight recorder saw before the
-oops (LBR-style; disable with --no-trace), a STATIC section
+oops (LBR-style; disable with --no-trace), and a STATIC section
 comparing the symbolic error-propagation verdict (predicted trap
-classes and latency bounds) against what actually happened, and an
-EQUIV section placing the site in its static equivalence class
-(class fingerprint, pilot-or-member role, function-local class size
-and the audit verdict of the observed crash against the class's
-predicted trap set; disable with --no-equiv).
+classes and latency bounds) against what actually happened.
 
 ``--model`` swaps the instruction flip for any pluggable fault model
 (memory state, register, register-at-trap, intermittent, disk); the
@@ -54,9 +50,6 @@ def main(argv=None):
     parser.add_argument("--no-static", action="store_true",
                         help="omit the predicted-vs-actual static "
                              "verdict section")
-    parser.add_argument("--no-equiv", action="store_true",
-                        help="omit the equivalence-class (EQUIV) "
-                             "section")
     parser.add_argument("--no-trace", action="store_true",
                         help="run without the flight recorder (omits "
                              "the TRACE branch-history section)")
@@ -109,7 +102,6 @@ def main(argv=None):
     # The static pre-classifier reasons about instruction-stream
     # corruption only; other models have no prediction to compare.
     want_static = not args.no_static and args.model in (None, "instr")
-    want_equiv = not args.no_equiv and args.model in (None, "instr")
     result = machine.run(max_cycles=60_000_000)
     print("run status: %s (exit %r)" % (result.status, result.exit_code))
     if fault is not None and "tsc" not in flip_state:
@@ -123,13 +115,6 @@ def main(argv=None):
                     kernel, args.function, target, args.byte,
                     args.bit):
                 print("  " + line)
-        if want_equiv:
-            from repro.staticanalysis.equivalence import \
-                describe_site_class
-            for line in describe_site_class(
-                    kernel, args.function, target, args.byte,
-                    args.bit):
-                print(line)
         return 1
     for index, crash in enumerate(result.crashes):
         if index:
@@ -149,16 +134,6 @@ def main(argv=None):
                     kernel, args.function, target, args.byte,
                     args.bit, crash=crash, latency=latency):
                 print("  " + line)
-        if want_equiv:
-            from repro.injection.outcomes import crash_cause_name
-            from repro.staticanalysis.equivalence import \
-                describe_site_class
-            for line in describe_site_class(
-                    kernel, args.function, target, args.byte,
-                    args.bit,
-                    crash_cause=crash_cause_name(crash.vector,
-                                                 crash.cr2)):
-                print(line)
     return 0
 
 

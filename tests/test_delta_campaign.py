@@ -142,6 +142,38 @@ def test_recovery_delta_equals_scratch(harness, recovery_harness2,
     assert meta["diff"]["changed"] == ["oops_recoverable"]
 
 
+def test_planner_counts_its_coverage_boots(harness, base_run,
+                                           monkeypatch):
+    """Each workload whose execution cone the planner computes costs
+    one coverage boot, counted in ``harness.boots`` like any other."""
+    from repro.staticanalysis import delta as delta_mod
+    _, journal = base_run
+    # A cold-path edit: activated records reach the cone rule.
+    kernel = build_kernel(source_edits=(
+        ("fs/vfs+ext2.c", "put_user(buf_user + 8, nblocks);",
+         "put_user(buf_user + 9, nblocks);"),))
+    edited = InjectionHarness(kernel, harness.binaries, harness.profile)
+
+    def plan():
+        return plan_delta(edited, harness.kernel, journal, _KEY,
+                          seed=_SEED, byte_stride=_STRIDE,
+                          max_specs=_MAX_SPECS)
+
+    plan()          # boots the goldens: from here on only cones boot
+    cones = []
+    execution_cone = delta_mod._execution_cone
+
+    def counting_cone(*args):
+        cones.append(args)
+        return execution_cone(*args)
+
+    monkeypatch.setattr(delta_mod, "_execution_cone", counting_cone)
+    boots = edited.boots
+    plan()
+    assert cones
+    assert edited.boots - boots == len(cones)
+
+
 # -- journal materialization ------------------------------------------
 
 

@@ -3,22 +3,28 @@
 Three rungs the campaign statistics lean on, probed directly:
 indirect-block corruption (structural, repair-class), superblock
 damage (reformat-class), and a dirty-but-repairable image (normal
-reboot-and-fsck class).
+reboot-and-fsck class).  Damaged images are what the most-severe
+class measures, so fsck must grade any corruption without raising.
 """
 
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.machine.disk import (
+    BITMAP_BLOCK,
     BLOCK_SIZE,
     DATA_START,
     DINODE_BYTES,
+    DIRENT_BYTES,
     DISK_BLOCKS,
     IND_SLOT,
+    IT_DIR,
     ITABLE_BLOCK,
     LIBC_CONTENT,
     N_INODES,
+    ROOT_INO,
     fsck,
     mkfs,
     read_file,
@@ -46,6 +52,28 @@ def _inode_base(image, predicate):
 
 def _indirect_inode_base(image):
     return _inode_base(image, lambda f: f[4 + IND_SLOT] != 0)
+
+
+def _dir_blocks(image, ino=None):
+    """Data blocks of directory inode *ino* (of every one if None)."""
+    blocks = []
+    for candidate in range(1, N_INODES):
+        base = ITABLE_BLOCK * BLOCK_SIZE + candidate * DINODE_BYTES
+        fields = struct.unpack_from("<4I12I", image, base)
+        if fields[0] == IT_DIR and ino in (None, candidate):
+            blocks.extend(b for b in fields[4:] if b)
+    return blocks
+
+
+def _dirent_offset(image, name, dir_ino=ROOT_INO):
+    """Byte offset of directory entry *name* in *dir_ino*."""
+    for blk in _dir_blocks(image, dir_ino):
+        for slot in range(0, BLOCK_SIZE, DIRENT_BYTES):
+            offset = blk * BLOCK_SIZE + slot
+            raw = bytes(image[offset + 4:offset + DIRENT_BYTES])
+            if raw.split(b"\0")[0] == name.encode():
+                return offset
+    raise AssertionError("no directory entry %r" % name)
 
 
 @pytest.fixture()
@@ -179,3 +207,53 @@ class TestDirtyButRepairable:
                                           bytes(self._dirty(image)))
         assert status == "dirty"
         assert severity == "normal"
+
+
+@pytest.fixture(scope="module")
+def fstime(binaries):
+    """The fstime guest's disk and its critical files."""
+    from repro.machine.machine import build_standard_disk
+    return (build_standard_disk(binaries, "fstime"),
+            {"/bin/init": binaries["init"].image})
+
+
+STATUSES = ("clean", "dirty", "inconsistent", "unrecoverable")
+
+
+class TestAnyCorruptionGrades:
+    def test_wild_directory_entry_is_unrecoverable(self, kernel, fstime):
+        from repro.injection.severity import grade_severity
+        image, golden = fstime
+        damaged = bytearray(image)
+        # Bit 18 of /bin's inode number: looking up /bin/init used to
+        # read an inode 16 MiB past the end of the 1 MiB image.
+        damaged[_dirent_offset(image, "bin") + 2] ^= 1 << 2
+        report = fsck(bytes(damaged), golden_files=golden)
+        assert report.status == "unrecoverable"
+        assert any("/bin/init" in issue for issue in report.issues)
+        assert (grade_severity(kernel, bytes(damaged),
+                               golden_files=golden)
+                == ("most_severe", "unrecoverable"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fsck_never_raises(self, fstime, data):
+        image, golden = fstime
+        regions = {
+            "superblock": [(0, struct.calcsize("<10I"))],
+            "bitmap": [(BITMAP_BLOCK * BLOCK_SIZE, BLOCK_SIZE)],
+            "inode table": [(ITABLE_BLOCK * BLOCK_SIZE,
+                             N_INODES * DINODE_BYTES)],
+            "directory blocks": [(blk * BLOCK_SIZE, BLOCK_SIZE)
+                                 for blk in _dir_blocks(image)],
+        }
+        region = data.draw(st.sampled_from(sorted(regions)))
+        start, length = data.draw(st.sampled_from(regions[region]))
+        writes = data.draw(st.lists(
+            st.tuples(st.integers(0, length - 1), st.integers(0, 255)),
+            min_size=1, max_size=8))
+        damaged = bytearray(image)
+        for offset, value in writes:
+            damaged[start + offset] = value
+        assert fsck(bytes(damaged), golden_files=golden).status \
+            in STATUSES

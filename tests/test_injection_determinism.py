@@ -146,66 +146,6 @@ class TestFaultModelDeterminism:
                 == [r.to_dict() for r in serials[kind].results])
 
 
-class TestEquivalenceDeterminism:
-    """Equivalence-pruned campaigns, three execution modes.
-
-    Pilot selection, audit draws, impure-class splitting and the
-    extrapolated records all derive from the seed and the static
-    partition, so serial, parallel and interrupted-then-resumed runs
-    must agree bit for bit — including the ``extrapolated`` provenance
-    blocks in the journal.
-    """
-
-    # The C slice is dormancy-heavy (see above), so classes collapse
-    # per workload and a real fraction of the plan is extrapolated
-    # rather than injected.
-    CAMPAIGN = dict(seed=2003, byte_stride=3, max_specs=18, grade=False,
-                    equivalence=True)
-
-    @pytest.fixture(scope="class")
-    def serial(self, harness, tmp_path_factory):
-        journal = str(tmp_path_factory.mktemp("equiv-serial")
-                      / "serial.jsonl")
-        return harness.run_campaign("C", journal_path=journal,
-                                    **self.CAMPAIGN)
-
-    def test_campaign_extrapolates_something(self, serial):
-        assert serial.meta["equivalence"]["extrapolated"] >= 1
-
-    def test_parallel_matches_serial(self, harness, serial, tmp_path):
-        journal = str(tmp_path / "parallel.jsonl")
-        parallel = harness.run_campaign("C", jobs=2,
-                                        journal_path=journal,
-                                        **self.CAMPAIGN)
-        assert ([r.to_dict() for r in parallel.results]
-                == [r.to_dict() for r in serial.results])
-        assert (parallel.meta["equivalence"]
-                == serial.meta["equivalence"])
-
-    def test_resume_matches_serial(self, harness, serial, tmp_path):
-        from repro.staticanalysis.equivalence import \
-            journal_extrapolation
-        journal = str(tmp_path / "resume.jsonl")
-
-        def interrupt(done, total, result):
-            if done == 2:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            harness.run_campaign("C", journal_path=journal,
-                                 progress=interrupt, **self.CAMPAIGN)
-        resumed = harness.run_campaign("C", journal_path=journal,
-                                       resume=True, **self.CAMPAIGN)
-        assert ([r.to_dict() for r in resumed.results]
-                == [r.to_dict() for r in serial.results])
-        assert (resumed.meta["equivalence"]
-                == serial.meta["equivalence"])
-        census = journal_extrapolation(journal)
-        assert census["malformed"] == 0
-        assert (census["extrapolated"]
-                == serial.meta["equivalence"]["extrapolated"])
-
-
 def test_pre_framework_journal_resumes(harness, tmp_path):
     """A v1 journal (no schema_version, no fault fields) resumes cleanly.
 
@@ -240,5 +180,51 @@ def test_pre_framework_journal_resumes(harness, tmp_path):
     resumed = harness.run_campaign("A", journal_path=journal_path,
                                    resume=True, **campaign)
     assert resumed.meta["engine"]["resumed_results"] == 3
+    assert ([r.to_dict() for r in resumed.results]
+            == [r.to_dict() for r in serial.results])
+
+
+def test_extrapolated_records_are_not_results(harness, tmp_path):
+    """Old journals may hold records guessed from another site.
+
+    Such a record carries an ``extrapolated`` block and the outcome of
+    its class pilot, not of a run.  Every journal reader skips it:
+    resume re-runs its index, a shard merge lists it as missing and a
+    delta campaign's source loader omits its coordinates.
+    """
+    from repro.injection.fabric import merge_shard_journals
+    from repro.injection.outcomes import NOT_ACTIVATED, NOT_MANIFESTED
+    from repro.staticanalysis.delta import load_journal_results
+    campaign = dict(seed=2003, byte_stride=3, max_specs=8, grade=False)
+    journal_path = str(tmp_path / "old.jsonl")
+    serial = harness.run_campaign("C", journal_path=journal_path,
+                                  **campaign)
+    guessed = [1, 4, 6]
+    lines = open(journal_path).read().splitlines()
+    rewritten = lines[:1]
+    for line in lines[1:]:
+        record = json.loads(line)
+        if record["index"] in guessed:
+            result = record["result"]
+            result["outcome"] = (NOT_MANIFESTED
+                                 if result["outcome"] == NOT_ACTIVATED
+                                 else NOT_ACTIVATED)
+            record["extrapolated"] = {"pilot_index": 0,
+                                      "class_fp": "0" * 16,
+                                      "n_members": 2}
+        rewritten.append(json.dumps(record))
+    with open(journal_path, "w") as fh:
+        fh.write("\n".join(rewritten) + "\n")
+
+    assert merge_shard_journals([journal_path]).missing == guessed
+    _, by_coords = load_journal_results(journal_path)
+    coords = [(r.function, r.addr, r.byte_offset, r.bit, r.fault_model)
+              for r in serial.results]
+    assert set(by_coords) == {c for i, c in enumerate(coords)
+                              if i not in guessed}
+    resumed = harness.run_campaign("C", journal_path=journal_path,
+                                   resume=True, **campaign)
+    assert (resumed.meta["engine"]["resumed_results"]
+            == len(serial.results) - len(guessed))
     assert ([r.to_dict() for r in resumed.results]
             == [r.to_dict() for r in serial.results])
