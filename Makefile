@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: install test bench bench-static bench-fabric bench-delta \
+.PHONY: install test bench bench-static bench-delta \
 	bench-jit ci lint-kernel experiments experiments-full clean
 
 install:
@@ -45,7 +45,6 @@ ci:
 	PYTHONPATH=src $(PY) -m repro.experiments.fabric_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.delta_validation --smoke
 	PYTHONPATH=src $(PY) benchmarks/bench_jit.py --smoke --gate 3.0
-	PYTHONPATH=src $(PY) benchmarks/bench_fabric.py --smoke
 	PYTHONPATH=src $(PY) benchmarks/bench_delta.py --smoke \
 		--max-fraction 0.5
 
@@ -55,11 +54,6 @@ bench:
 # Whole-image static-analysis timings -> BENCH_static.json.
 bench-static:
 	PYTHONPATH=src $(PY) benchmarks/bench_static.py
-
-# Campaign-fabric boot amortization -> BENCH_fabric.json (gate: a warm
-# snapshot store means zero kernel boots).
-bench-fabric:
-	PYTHONPATH=src $(PY) benchmarks/bench_fabric.py
 
 # Delta-campaign reuse on a one-function edit -> BENCH_delta.json
 # (gates: delta == scratch bit-identical, re-run fraction <= 0.5,

@@ -11,7 +11,8 @@ This module is the software analogue for the simulated rig:
   that wedges (per-experiment wall-clock watchdog) or dies (SIGKILL,
   interpreter fault) costs one experiment, which is retried with
   backoff in a fresh worker — the watchdog → reboot rungs of the
-  paper's recovery ladder.
+  paper's recovery ladder.  The same :class:`WorkerPool` runs the
+  campaign fabric's shards (:mod:`repro.injection.fabric`).
 * **harness-fault containment** — any exception escaping
   ``run_spec`` (e.g. a decoder bug provoked by a corrupted opcode) is
   classified as a :data:`~repro.injection.outcomes.HARNESS_ERROR`
@@ -367,20 +368,20 @@ def _worker_main(harness, specs, grade, seed, conn):
 
 
 class _Worker:
-    """Bookkeeping for one worker process."""
+    """Bookkeeping for one forked worker process."""
 
-    __slots__ = ("process", "conn", "current", "deadline")
+    __slots__ = ("process", "conn", "item", "leased_at")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        self.current = None     # in-flight spec index
-        self.deadline = None
+        self.item = None        # the leased item; None while idle
+        self.leased_at = None   # wall-clock start of the current lease
 
-    def assign(self, index, timeout):
-        self.current = index
-        self.deadline = time.monotonic() + timeout
-        self.conn.send(index)
+    def lease(self, item, payload):
+        self.item = item
+        self.leased_at = time.time()
+        self.conn.send(payload)
 
     def stop(self):
         """Ask an idle worker to exit; True if it had died instead."""
@@ -402,6 +403,268 @@ class _Worker:
         if self.process.is_alive():
             self.process.kill()
             self.process.join(timeout=5)
+
+
+def fork_available():
+    """Whether this platform can fork the pool's workers."""
+    import multiprocessing
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+class WorkerPool:
+    """Forked workers, each leased one item at a time over a pipe.
+
+    :class:`CampaignEngine` leases spec indices to it and the fabric's
+    coordinator leases shards.  A worker lives for the whole run, so
+    what it warms on one item (translation heat, templates, decodes)
+    serves its next.  The recovery ladder:
+
+    * a delivery that raced its worker's death is harvested before
+      anything is decided: the item is done and never runs again;
+    * a worker that dies idle is retired: a worker failure, but its
+      last item is not re-run;
+    * a worker that dies, reports a failed lease or runs overdue while
+      busy fails its item, which is retried after backoff up to
+      ``retries`` times and then given up;
+    * each lost worker is replaced until ``max_failures`` worker
+      failures; then the pool degrades: every worker is killed and
+      the unfinished items go to the caller's fallback.
+
+    A subclass supplies the hooks below.  ``meta`` is the caller's
+    telemetry: the pool counts ``worker_failures`` and
+    ``workers_spawned`` there and sets ``degraded``.
+    """
+
+    #: How a busy worker that died or ran overdue is reported.
+    DIED = KIND_WORKER_DIED
+    OVERDUE = KIND_WORKER_TIMEOUT
+
+    def __init__(self, size, retries, backoff, max_failures, meta):
+        self.size = size
+        self.retries = retries
+        self.backoff = backoff
+        self.max_failures = max_failures
+        self.meta = meta
+        self.overdue_leases = 0     # leases revoked as overdue
+        self.retried_leases = 0     # leases of an item that failed before
+        self.workers = []
+
+    # -- per-caller hooks ---------------------------------------------------
+
+    def target(self, conn):
+        """``(function, args)`` a worker runs; *conn* is its pipe end."""
+        raise NotImplementedError
+
+    def payload(self, item, attempt):
+        """The lease message for *item* after *attempt* failed leases."""
+        return item
+
+    def overdue(self, worker, now):
+        """Whether busy *worker* has outrun its lease at wall time *now*."""
+        raise NotImplementedError
+
+    def deliver(self, item, message):
+        """Take a worker's *message* on *item*: ``None`` when the item is
+        done, else why the lease failed (the worker then exits)."""
+        raise NotImplementedError
+
+    def give_up(self, item, kind, attempts, detail):
+        """*item* failed *attempts* leases, the last as *kind*."""
+        raise NotImplementedError
+
+    def degrade(self, items):
+        """Finish *items* without the pool."""
+        raise NotImplementedError
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def run(self, items):
+        """Lease every item of *items* until each is done or given up."""
+        from multiprocessing.connection import wait as conn_wait
+        import multiprocessing
+        self._ctx = multiprocessing.get_context("fork")
+        self._queue = list(items)           # items awaiting a worker
+        self._outstanding = set(items)
+        self._attempts = {}                 # item -> failed leases
+        self._not_before = {}               # item -> earliest retry time
+        try:
+            for _ in range(min(self.size, max(1, len(self._queue)))):
+                self._spawn()
+            while self._outstanding:
+                if self.meta["worker_failures"] >= self.max_failures:
+                    self._degrade()
+                    break
+                self._lease_idle()
+                busy = [w for w in self.workers if w.item is not None]
+                if busy:
+                    for conn in conn_wait([w.conn for w in busy],
+                                          timeout=0.1):
+                        self._harvest(next(w for w in busy
+                                           if w.conn is conn))
+                else:
+                    # Everything runnable is in backoff; wait it out.
+                    time.sleep(min(0.05, self.backoff or 0.05))
+                self._check_workers()
+        finally:
+            for worker in self.workers:
+                # A worker that died right after its last delivery was
+                # never seen dead by the loop; count it as _retire does.
+                if worker.item is None and worker.stop():
+                    self.meta["worker_failures"] += 1
+                worker.kill()
+            self.workers = []
+
+    def _spawn(self):
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        target, args = self.target(child_conn)
+        # Not daemonic, so a worker may fork workers of its own (a
+        # fabric shard with ``shard_jobs`` > 1); every exit path of
+        # ``run`` kills and joins what it forked.
+        process = self._ctx.Process(target=target, args=args)
+        process.start()
+        child_conn.close()
+        self.meta["workers_spawned"] += 1
+        self.workers.append(_Worker(process, parent_conn))
+
+    def _lease_idle(self):
+        now = time.monotonic()
+        for worker in self.workers:
+            if worker.item is not None:
+                continue
+            for position, item in enumerate(self._queue):
+                if self._not_before.get(item, 0) <= now:
+                    break
+            else:
+                return          # nothing leasable until a backoff ends
+            del self._queue[position]
+            attempt = self._attempts.get(item, 0)
+            try:
+                worker.lease(item, self.payload(item, attempt))
+            except OSError:
+                # Died between the liveness check and the send; requeue
+                # and let the next liveness check retire the body.
+                worker.item = None
+                self._queue.append(item)
+                continue
+            if attempt:
+                self.retried_leases += 1
+
+    def _harvest(self, worker):
+        """Take *worker*'s report on its lease, if one has arrived."""
+        try:
+            if not worker.conn.poll():
+                return          # nothing delivered (yet, or ever)
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            return              # death; the liveness check handles it
+        detail = self.deliver(worker.item, message)
+        if detail is None:
+            self._outstanding.discard(worker.item)
+            worker.item = None
+        else:
+            self._fail(worker, self.DIED, detail)
+
+    def _check_workers(self):
+        now = time.time()
+        for worker in list(self.workers):
+            if not worker.process.is_alive():
+                # A worker that died *after* delivering leaves its
+                # report in the pipe.  Harvest it before deciding
+                # anything: the item is done, and re-enqueueing it
+                # would run (and journal) it twice.
+                self._harvest(worker)
+                if worker not in self.workers:
+                    continue    # it reported a failed lease
+                if worker.item is None:
+                    self._retire(worker)
+                else:
+                    self._fail(worker, self.DIED)
+            elif worker.item is not None and self.overdue(worker, now):
+                self.overdue_leases += 1
+                self._fail(worker, self.OVERDUE)
+
+    def _retire(self, worker):
+        """Kill *worker* and fork its replacement, budget permitting.
+
+        Every retirement counts against the failure budget (the rig is
+        unhealthy), but an idle worker's finished item is never
+        re-enqueued: the exactly-once half of the worker-death ladder.
+        """
+        self.meta["worker_failures"] += 1
+        worker.kill()
+        self.workers.remove(worker)
+        if self.meta["worker_failures"] < self.max_failures:
+            self._spawn()
+
+    def _fail(self, worker, kind, detail=None):
+        """One rung down the recovery ladder for a busy worker."""
+        item = worker.item
+        self._retire(worker)
+        attempts = self._attempts[item] = self._attempts.get(item, 0) + 1
+        if attempts <= self.retries:
+            self._not_before[item] = time.monotonic() \
+                + self.backoff * attempts
+            self._queue.append(item)
+        else:
+            self._outstanding.discard(item)
+            self.give_up(item, kind, attempts, detail)
+
+    def _degrade(self):
+        # The reformat/reinstall rung: tear the pool down and finish
+        # every unfinished item the caller's most conservative way.
+        self.meta["degraded"] = True
+        self.meta["degraded_reason"] = (
+            "%d worker failures" % self.meta["worker_failures"])
+        for worker in self.workers:
+            worker.kill()
+        self.workers = []
+        items = sorted(self._outstanding)
+        self._outstanding.clear()
+        self.degrade(items)
+
+
+class _SpecPool(WorkerPool):
+    """The engine's pool: an item is a spec index, a delivery its result."""
+
+    def __init__(self, engine, specs, grade, seed, results, journal,
+                 progress, meta):
+        config = engine.config
+        WorkerPool.__init__(self, config.jobs, config.retries,
+                            config.backoff, config.max_worker_failures,
+                            meta)
+        self.engine = engine
+        self.specs = specs
+        self.grade = grade
+        self.seed = seed
+        self.results = results
+        self.journal = journal
+        self.progress = progress
+
+    def target(self, conn):
+        # Looked up at every spawn, so a patched module attribute counts.
+        return _worker_main, (self.engine.harness, self.specs,
+                              self.grade, self.seed, conn)
+
+    def overdue(self, worker, now):
+        return now - worker.leased_at > self.engine.config.timeout
+
+    def deliver(self, index, message):
+        self._complete(index, InjectionResult.from_dict(message[1]))
+
+    def give_up(self, index, kind, attempts, detail):
+        tb = ("worker failed %d times (last: %s); retries exhausted"
+              % (attempts, kind))
+        self._complete(index, harness_error_result(
+            self.specs[index], kind, tb, self.seed))
+
+    def degrade(self, indices):
+        self.engine._run_serial(self.specs, indices, self.grade,
+                                self.seed, self.results, self.journal,
+                                self.progress)
+
+    def _complete(self, index, result):
+        self.engine._complete(index, result, self.specs, self.results,
+                              self.journal, self.progress)
 
 
 class CampaignEngine:
@@ -447,6 +710,7 @@ class CampaignEngine:
             "journal": config.journal_path,
             "resumed_results": len(completed),
             "worker_failures": 0,
+            "workers_spawned": 0,
             "harness_errors": 0,
             "degraded": False,
         }
@@ -458,15 +722,15 @@ class CampaignEngine:
             self.harness.assign_workload(spec)
         results = dict(completed)
         try:
-            if config.jobs > 1 and pending and self._fork_available():
-                self._run_parallel(specs, pending, grade, seed, results,
-                                   journal, progress, meta)
+            if config.jobs > 1 and pending and fork_available():
+                _SpecPool(self, specs, grade, seed, results, journal,
+                          progress, meta).run(pending)
             else:
                 if config.jobs > 1 and pending:
                     meta["degraded"] = True
                     meta["degraded_reason"] = "fork unavailable"
                 self._run_serial(specs, pending, grade, seed, results,
-                                 journal, progress, meta)
+                                 journal, progress)
         finally:
             if journal is not None:
                 journal.close()
@@ -478,178 +742,12 @@ class CampaignEngine:
     # -- serial path ---------------------------------------------------------
 
     def _run_serial(self, specs, pending, grade, seed, results, journal,
-                    progress, meta):
+                    progress):
         for index in pending:
             result = run_spec_contained(self.harness, specs[index],
                                         grade, seed)
             self._complete(index, result, specs, results, journal,
                            progress)
-
-    # -- parallel path -------------------------------------------------------
-
-    @staticmethod
-    def _fork_available():
-        import multiprocessing
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def _spawn_worker(self, ctx, specs, grade, seed):
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=_worker_main,
-            args=(self.harness, specs, grade, seed, child_conn),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        return _Worker(process, parent_conn)
-
-    def _run_parallel(self, specs, pending, grade, seed, results,
-                      journal, progress, meta):
-        from multiprocessing.connection import wait as conn_wait
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        config = self.config
-        queue = list(pending)            # indices awaiting a worker
-        not_before = {}                  # index -> earliest retry time
-        attempts = {}                    # index -> failed attempts
-        n_workers = min(config.jobs, max(1, len(pending)))
-        workers = [self._spawn_worker(ctx, specs, grade, seed)
-                   for _ in range(n_workers)]
-        outstanding = set(pending)
-        try:
-            while outstanding:
-                if meta["worker_failures"] >= config.max_worker_failures:
-                    # The parallel rig is unhealthy; reformat/reinstall:
-                    # tear it down and finish serially in-process.
-                    meta["degraded"] = True
-                    meta["degraded_reason"] = (
-                        "%d worker failures" % meta["worker_failures"])
-                    for worker in workers:
-                        if worker.current is not None:
-                            queue.append(worker.current)
-                        worker.kill()
-                    workers = []
-                    remaining = sorted(set(queue))
-                    self._run_serial(specs, remaining, grade, seed,
-                                     results, journal, progress, meta)
-                    outstanding.clear()
-                    break
-                self._assign_idle(workers, queue, not_before, config)
-                busy = [w for w in workers if w.current is not None]
-                if not busy:
-                    # Everything runnable is in backoff; wait it out.
-                    time.sleep(min(0.05, config.backoff or 0.05))
-                    continue
-                ready = conn_wait([w.conn for w in busy], timeout=0.1)
-                for conn in ready:
-                    worker = next(w for w in busy if w.conn is conn)
-                    self._drain_worker(worker, specs, results, journal,
-                                       progress, outstanding)
-                now = time.monotonic()
-                for worker in list(workers):
-                    if not worker.process.is_alive():
-                        # A worker that died *after* sending its result
-                        # leaves it sitting in the pipe.  Harvest it
-                        # before deciding anything: the experiment is
-                        # done and journaled exactly once; re-enqueueing
-                        # it would run (and journal) it twice.  An idle
-                        # dead worker is retired too — assigning to it
-                        # would hit a broken pipe.
-                        self._drain_worker(worker, specs, results,
-                                           journal, progress,
-                                           outstanding)
-                        if worker.current is None:
-                            self._retire(worker, meta, workers, ctx,
-                                         specs, grade, seed)
-                        else:
-                            self._fail(worker, KIND_WORKER_DIED, specs,
-                                       results, journal, progress,
-                                       queue, attempts, not_before,
-                                       outstanding, meta, workers, ctx,
-                                       grade, seed)
-                    elif worker.current is not None \
-                            and now > worker.deadline:
-                        self._fail(worker, KIND_WORKER_TIMEOUT, specs,
-                                   results, journal, progress, queue,
-                                   attempts, not_before, outstanding,
-                                   meta, workers, ctx, grade, seed)
-        finally:
-            for worker in workers:
-                # A worker that died right after its last delivery was
-                # never seen dead by the loop; count it as _retire does.
-                if worker.current is None and worker.stop():
-                    meta["worker_failures"] += 1
-                worker.kill()
-
-    def _assign_idle(self, workers, queue, not_before, config):
-        now = time.monotonic()
-        for worker in workers:
-            if worker.current is not None or not queue:
-                continue
-            for position, index in enumerate(queue):
-                if not_before.get(index, 0) <= now:
-                    queue.pop(position)
-                    try:
-                        worker.assign(index, config.timeout)
-                    except OSError:
-                        # Died between the liveness check and the
-                        # send; requeue and let the next liveness pass
-                        # retire the body.
-                        worker.current = None
-                        queue.append(index)
-                    break
-
-    def _drain_worker(self, worker, specs, results, journal, progress,
-                      outstanding):
-        try:
-            if not worker.conn.poll():
-                return          # nothing delivered (yet, or ever)
-            index, payload = worker.conn.recv()
-        except (EOFError, OSError):
-            return              # death; the liveness check handles it
-        worker.current = None
-        worker.deadline = None
-        if index in outstanding:
-            result = InjectionResult.from_dict(payload)
-            self._complete(index, result, specs, results, journal,
-                           progress)
-            outstanding.discard(index)
-
-    def _retire(self, worker, meta, workers, ctx, specs, grade, seed):
-        """Replace a worker that died *after* delivering its result.
-
-        The death still counts against the failure budget (the rig is
-        unhealthy), but the completed experiment is never re-enqueued —
-        that is the exactly-once half of the worker-death ladder.
-        """
-        meta["worker_failures"] += 1
-        worker.kill()
-        workers.remove(worker)
-        if meta["worker_failures"] < self.config.max_worker_failures:
-            workers.append(self._spawn_worker(ctx, specs, grade, seed))
-
-    def _fail(self, worker, kind, specs, results, journal, progress,
-              queue, attempts, not_before, outstanding, meta, workers,
-              ctx, grade, seed):
-        """One rung down the recovery ladder for a failed worker."""
-        index = worker.current
-        meta["worker_failures"] += 1
-        worker.kill()
-        workers.remove(worker)
-        attempts[index] = attempts.get(index, 0) + 1
-        if attempts[index] <= self.config.retries:
-            # Retry in a fresh worker after a short backoff.
-            not_before[index] = time.monotonic() \
-                + self.config.backoff * attempts[index]
-            queue.append(index)
-        else:
-            tb = ("worker failed %d times (last: %s); retries exhausted"
-                  % (attempts[index], kind))
-            result = harness_error_result(specs[index], kind, tb, seed)
-            self._complete(index, result, specs, results, journal,
-                           progress)
-            outstanding.discard(index)
-        if meta["worker_failures"] < self.config.max_worker_failures:
-            workers.append(self._spawn_worker(ctx, specs, grade, seed))
 
     # -- shared plumbing -----------------------------------------------------
 

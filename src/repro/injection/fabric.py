@@ -23,8 +23,10 @@ campaign was executed*:
   from SIGKILLed writers are dropped, and journals from a different
   plan or with a forged shard fingerprint are rejected.  A merged
   N-shard run is bit-identical to the 1-host serial run.
-* **coordinator** — :class:`FabricCoordinator` dispatches shards to a
-  local worker pool with heartbeat files, lease timeouts, bounded
+* **coordinator** — :class:`FabricCoordinator` leases shards, one
+  after another, to the engine's
+  :class:`~repro.injection.engine.WorkerPool`, whose workers live for
+  the whole campaign, with heartbeat files, lease timeouts, bounded
   retry/backoff, and work stealing (a revoked lease puts the shard
   back on the queue where the next idle worker picks it up and
   *resumes* its journal).  Repeated worker deaths degrade the whole
@@ -53,6 +55,8 @@ from repro.injection.engine import (
     CampaignJournal,
     EngineConfig,
     JournalMismatch,
+    WorkerPool,
+    fork_available,
     plan_fingerprint,
     prefer_result,
     read_journal_lines,
@@ -547,38 +551,44 @@ def read_heartbeat(path):
 
 
 def _shard_worker_main(harness, campaign_key, specs, seed, byte_stride,
-                       shard, journal_path, heartbeat_path, grade,
-                       shard_jobs, chaos_after, conn):
-    """One coordinator worker: run a shard, heartbeat as it goes.
+                       grade, shard_jobs, conn):
+    """Fabric worker loop: receive a shard lease, run it, report back.
 
-    Forked, so the harness (kernel, golden snapshots, snapshot store)
-    is inherited copy-on-write.  *chaos_after* arms the self-SIGKILL
-    used by the validation exhibit's chaos mode: the worker dies for
-    real, mid-run, right after fsyncing its n-th record — the
-    coordinator must revoke the lease and a retry must resume the
+    Forked once per campaign, so the harness (kernel, golden snapshots,
+    snapshot store) is inherited copy-on-write and the translation
+    cache one shard warms serves the worker's next.  A lease is
+    ``(shard, journal_path, heartbeat_path, chaos_after)``; the report
+    is ``(shard_index, None)``, or ``(shard_index, traceback)`` for a
+    shard that raised, after which the worker exits.  *chaos_after*
+    arms the self-SIGKILL of the validation exhibit's chaos mode: the
+    worker dies for real, mid-shard, right after fsyncing its n-th
+    record, so the lease must be revoked and a retry must resume the
     journal for the campaign to come out bit-identical.
     """
     try:
-        total = len(shard.indices)
-        write_heartbeat(heartbeat_path, 0, total)
+        while True:
+            lease = conn.recv()
+            if lease is None:
+                break
+            shard, journal_path, heartbeat_path, chaos_after = lease
+            total = len(shard.indices)
 
-        def beat(done, _total, result):
-            write_heartbeat(heartbeat_path, done, total)
-            if chaos_after is not None and done >= chaos_after:
-                os.kill(os.getpid(), signal.SIGKILL)
+            def beat(done, _total, result):
+                write_heartbeat(heartbeat_path, done, total)
+                if chaos_after is not None and done >= chaos_after:
+                    os.kill(os.getpid(), signal.SIGKILL)
 
-        results, meta = run_shard(
-            harness, campaign_key, specs, seed, byte_stride, shard,
-            journal_path, grade=grade, jobs=shard_jobs, resume=True,
-            progress=beat)
-        conn.send(("done", shard.index, len(results),
-                   meta.get("worker_failures", 0)))
-    except BaseException:
-        try:
-            conn.send(("failed", shard.index, 0,
-                       traceback.format_exc()))
-        except (OSError, ValueError):
-            pass
+            try:
+                write_heartbeat(heartbeat_path, 0, total)
+                run_shard(harness, campaign_key, specs, seed, byte_stride,
+                          shard, journal_path, grade=grade,
+                          jobs=shard_jobs, resume=True, progress=beat)
+            except Exception:
+                conn.send((shard.index, traceback.format_exc()))
+                break
+            conn.send((shard.index, None))
+    except (EOFError, OSError, KeyboardInterrupt):
+        pass
     finally:
         conn.close()
 
@@ -586,46 +596,70 @@ def _shard_worker_main(harness, campaign_key, specs, seed, byte_stride,
 class _ShardTask:
     """Coordinator bookkeeping for one shard."""
 
-    __slots__ = ("shard", "journal_path", "heartbeat_path", "attempts",
-                 "chaos_after")
+    __slots__ = ("shard", "journal_path", "heartbeat_path", "chaos_after")
 
     def __init__(self, shard, workdir):
         self.shard = shard
         name = "shard_%d_of_%d" % (shard.index, shard.count)
         self.journal_path = os.path.join(workdir, name + ".jsonl")
         self.heartbeat_path = os.path.join(workdir, name + ".heartbeat")
-        self.attempts = 0
         self.chaos_after = None
 
 
-class _ShardWorker:
-    """A leased shard running in a forked process."""
+class _ShardPool(WorkerPool):
+    """The fabric's pool: an item is a shard index, leased with the
+    shard's journal, heartbeat file and chaos point."""
 
-    __slots__ = ("process", "conn", "task", "leased_at")
+    DIED = SHARD_DIED
+    OVERDUE = SHARD_STALLED
 
-    def __init__(self, process, conn, task):
-        self.process = process
-        self.conn = conn
-        self.task = task
-        self.leased_at = time.time()
+    def __init__(self, coordinator, campaign_key, specs, seed,
+                 byte_stride, tasks, grade, meta):
+        config = coordinator.config
+        WorkerPool.__init__(self, config.pool, config.retries,
+                            config.backoff,
+                            coordinator._max_worker_failures(len(tasks)),
+                            meta)
+        self.coordinator = coordinator
+        self.run_args = (campaign_key, specs, seed, byte_stride)
+        self.tasks = tasks
+        self.grade = grade
 
-    def last_beat(self):
-        beat = read_heartbeat(self.task.heartbeat_path)
-        if beat is not None and beat["time"] >= self.leased_at:
-            return beat["time"]
-        return self.leased_at
+    def target(self, conn):
+        coordinator = self.coordinator
+        return _shard_worker_main, (
+            (coordinator.harness,) + self.run_args
+            + (self.grade, coordinator.config.shard_jobs, conn))
 
-    def kill(self):
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=5)
+    def payload(self, index, attempt):
+        task = self.tasks[index]
+        # Only a chaos victim's first lease is armed to die.
+        return (task.shard, task.journal_path, task.heartbeat_path,
+                None if attempt else task.chaos_after)
+
+    def overdue(self, worker, now):
+        beat = read_heartbeat(self.tasks[worker.item].heartbeat_path)
+        last = worker.leased_at
+        if beat is not None and beat["time"] > last:
+            last = beat["time"]
+        return now - last > self.coordinator.config.lease_timeout
+
+    def deliver(self, index, message):
+        return message[1]
+
+    def give_up(self, index, kind, attempts, detail):
+        # The shard's journaled prefix still merges and the serial
+        # backfill runs the rest: a shard failure can cost wall-clock
+        # but never results.
+        self.meta["shard_failures"][str(index)] = \
+            detail or "%s after %d attempts" % (kind, attempts)
+
+    def degrade(self, indices):
+        # Finish every unfinished shard in-process, resuming the
+        # journals the dead workers left behind.
+        for index in indices:
+            self.coordinator._run_shard_inline(
+                *self.run_args, self.tasks[index], self.grade)
 
 
 class FabricCoordinator:
@@ -698,6 +732,7 @@ class FabricCoordinator:
             "pool": config.pool,
             "plan_fingerprint": plan_fp,
             "worker_failures": 0,
+            "workers_spawned": 0,
             "stalled_leases": 0,
             "stolen_shards": 0,
             "chaos_killed": [],
@@ -707,9 +742,14 @@ class FabricCoordinator:
             "serial_completions": 0,
         }
         self._choose_chaos_victims(shards, tasks, meta)
-        if config.pool > 1 and self._fork_available() and shards:
-            self._run_pooled(campaign_key, specs, seed, byte_stride,
-                             shards, tasks, grade, meta)
+        if config.pool > 1 and fork_available() and shards:
+            pool = _ShardPool(self, campaign_key, specs, seed,
+                              byte_stride, tasks, grade, meta)
+            pool.run([s.index for s in shards])
+            meta["stalled_leases"] = pool.overdue_leases
+            # A shard leased again after a failed lease: the idle
+            # worker steals its unfinished journal and resumes it.
+            meta["stolen_shards"] = pool.retried_leases
         else:
             meta["mode"] = "fabric-serial"
             for shard in shards:
@@ -724,11 +764,6 @@ class FabricCoordinator:
         return ordered, meta
 
     # -- setup helpers -------------------------------------------------------
-
-    @staticmethod
-    def _fork_available():
-        import multiprocessing
-        return "fork" in multiprocessing.get_all_start_methods()
 
     def _max_worker_failures(self, shard_count):
         configured = self.config.max_worker_failures
@@ -760,150 +795,6 @@ class FabricCoordinator:
         run_shard(self.harness, campaign_key, specs, seed, byte_stride,
                   task.shard, task.journal_path, grade=grade, jobs=1,
                   resume=True)
-
-    # -- pooled dispatch -----------------------------------------------------
-
-    def _spawn(self, ctx, task, campaign_key, specs, seed, byte_stride,
-               grade):
-        chaos_after = task.chaos_after if task.attempts == 0 else None
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_shard_worker_main,
-            args=(self.harness, campaign_key, specs, seed, byte_stride,
-                  task.shard, task.journal_path, task.heartbeat_path,
-                  grade, self.config.shard_jobs, chaos_after,
-                  child_conn),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        task.attempts += 1
-        return _ShardWorker(process, parent_conn, task)
-
-    def _run_pooled(self, campaign_key, specs, seed, byte_stride,
-                    shards, tasks, grade, meta):
-        from multiprocessing.connection import wait as conn_wait
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        config = self.config
-        max_failures = self._max_worker_failures(len(shards))
-        queue = [s.index for s in shards]
-        not_before = {}
-        outstanding = set(queue)
-        workers = []
-        pool = min(config.pool, max(1, len(queue)))
-        try:
-            while outstanding:
-                if meta["worker_failures"] >= max_failures:
-                    # The pool is unhealthy; reformat/reinstall one
-                    # level up: tear it down and finish every
-                    # unfinished shard serially in-process, resuming
-                    # the journals the dead workers left behind.
-                    meta["degraded"] = True
-                    meta["degraded_reason"] = (
-                        "%d worker failures"
-                        % meta["worker_failures"])
-                    for worker in workers:
-                        worker.kill()
-                    workers = []
-                    for index in sorted(outstanding):
-                        self._run_shard_inline(campaign_key, specs,
-                                               seed, byte_stride,
-                                               tasks[index], grade)
-                    outstanding.clear()
-                    break
-                now = time.monotonic()
-                while len(workers) < pool and queue:
-                    pick = None
-                    for position, index in enumerate(queue):
-                        if not_before.get(index, 0) <= now:
-                            pick = position
-                            break
-                    if pick is None:
-                        break
-                    index = queue.pop(pick)
-                    if tasks[index].attempts > 0:
-                        # A previously-leased shard going to a new
-                        # worker: the idle worker steals the
-                        # unfinished journal and resumes it.
-                        meta["stolen_shards"] += 1
-                    workers.append(self._spawn(ctx, tasks[index],
-                                               campaign_key, specs,
-                                               seed, byte_stride,
-                                               grade))
-                if not workers:
-                    if queue:
-                        time.sleep(min(0.05, config.backoff or 0.05))
-                        continue
-                    break       # retries exhausted; backfill handles it
-                ready = conn_wait([w.conn for w in workers],
-                                  timeout=0.1)
-                for conn in ready:
-                    worker = next(w for w in workers if w.conn is conn)
-                    self._drain(worker, workers, outstanding, queue,
-                                not_before, meta)
-                wall = time.time()
-                for worker in list(workers):
-                    if not worker.process.is_alive():
-                        # Harvest a done message that raced the death.
-                        self._drain(worker, workers, outstanding,
-                                    queue, not_before, meta,
-                                    final=True)
-                        if worker in workers:
-                            self._shard_fail(worker, SHARD_DIED,
-                                             workers, outstanding,
-                                             queue, not_before, meta)
-                    elif wall - worker.last_beat() \
-                            > config.lease_timeout:
-                        meta["stalled_leases"] += 1
-                        self._shard_fail(worker, SHARD_STALLED,
-                                         workers, outstanding, queue,
-                                         not_before, meta)
-        finally:
-            for worker in workers:
-                worker.kill()
-
-    def _drain(self, worker, workers, outstanding, queue, not_before,
-               meta, final=False):
-        try:
-            if not worker.conn.poll():
-                return
-            message = worker.conn.recv()
-        except (EOFError, OSError):
-            return
-        kind, shard_index = message[0], message[1]
-        if kind == "done":
-            outstanding.discard(shard_index)
-            worker.kill()
-            if worker in workers:
-                workers.remove(worker)
-        elif kind == "failed" and not final:
-            self._shard_fail(worker, SHARD_DIED, workers, outstanding,
-                             queue, not_before, meta,
-                             detail=message[3])
-
-    def _shard_fail(self, worker, kind, workers, outstanding, queue,
-                    not_before, meta, detail=None):
-        """Revoke a shard's lease: retry with backoff or give it up.
-
-        A given-up shard's completed prefix still merges from its
-        journal; whatever is missing is backfilled serially at the
-        end, so a shard failure can cost wall-clock but never results.
-        """
-        task = worker.task
-        meta["worker_failures"] += 1
-        worker.kill()
-        if worker in workers:
-            workers.remove(worker)
-        if task.attempts <= self.config.retries:
-            not_before[task.shard.index] = time.monotonic() \
-                + self.config.backoff * task.attempts
-            queue.append(task.shard.index)
-        else:
-            failures = meta["shard_failures"]
-            failures[str(task.shard.index)] = \
-                detail or ("%s after %d attempts"
-                           % (kind, task.attempts))
-            outstanding.discard(task.shard.index)
 
     # -- merge + backfill ----------------------------------------------------
 

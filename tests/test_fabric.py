@@ -66,6 +66,12 @@ def serial(harness, specs):
     return [r.to_dict() for r in results]
 
 
+def same_site(spec, target):
+    return (spec.instr_addr == target.instr_addr
+            and spec.byte_offset == target.byte_offset
+            and spec.bit == target.bit)
+
+
 def shard_paths(tmp_path, shards):
     return {s.index: str(tmp_path / ("shard_%d.jsonl" % s.index))
             for s in shards}
@@ -409,6 +415,7 @@ class TestCoordinator:
         assert engine["mode"] == "fabric"
         assert engine["worker_failures"] == 0
         assert engine["serial_completions"] == 0
+        assert engine["workers_spawned"] == 2
 
     def test_chaos_sigkill_is_survived_bit_identically(self, harness,
                                                        serial,
@@ -425,6 +432,7 @@ class TestCoordinator:
         assert engine["worker_failures"] >= 1
         assert engine["stolen_shards"] >= 1     # and was resumed
         assert [r.to_dict() for r in results.results] == serial
+        assert engine["workers_spawned"] == 3
 
     def test_repeated_deaths_degrade_to_serial(self, harness, serial,
                                                tmp_path):
@@ -466,6 +474,94 @@ class TestCoordinator:
         engine = results.meta["engine"]
         assert engine["stalled_leases"] >= 1
         assert engine["stolen_shards"] >= 1
+        assert [r.to_dict() for r in results.results] == serial
+
+    def test_stall_on_a_second_lease_is_revoked_and_stolen(
+            self, harness, specs, serial, monkeypatch, tmp_path):
+        """The lease clock restarts at every lease: a worker that
+        stalls on the second shard it holds loses that lease too."""
+        target = specs[3]               # shard 3/4's first spec
+        stall_flag = tmp_path / "stalled-once"
+        parent = os.getpid()
+        real = harness.run_spec
+
+        def stalling(spec, grade=True):
+            if os.getpid() != parent and same_site(spec, target) \
+                    and not stall_flag.exists():
+                stall_flag.write_text("x")
+                time.sleep(60)
+            return real(spec, grade=grade)
+
+        monkeypatch.setattr(harness, "run_spec", stalling)
+        coordinator = FabricCoordinator(
+            harness, FabricConfig(pool=2, lease_timeout=1.5,
+                                  backoff=0.0))
+        results = coordinator.run_campaign(
+            CAMPAIGN, seed=SEED, byte_stride=STRIDE,
+            max_specs=MAX_SPECS, shard_count=4,
+            workdir=str(tmp_path / "fabric"), grade=False)
+        engine = results.meta["engine"]
+        assert stall_flag.exists()
+        assert engine["stalled_leases"] >= 1
+        assert engine["stolen_shards"] >= 1
+        assert [r.to_dict() for r in results.results] == serial
+
+    def test_death_after_shard_delivery_never_reruns_the_shard(
+            self, harness, serial, monkeypatch, tmp_path):
+        """A worker that dies right after reporting a shard done is
+        retired, not re-leased that shard: the shard runs once."""
+        import repro.injection.fabric as fabric_mod
+        flag = str(tmp_path / "died-once")
+        real_main = fabric_mod._shard_worker_main
+
+        class DieAfterFirstReport:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def recv(self):
+                return self._conn.recv()
+
+            def close(self):
+                self._conn.close()
+
+            def send(self, report):
+                self._conn.send(report)
+                try:
+                    os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    return
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def dying_main(*args):
+            real_main(*args[:-1], DieAfterFirstReport(args[-1]))
+
+        monkeypatch.setattr(fabric_mod, "_shard_worker_main",
+                            dying_main)
+        coordinator = FabricCoordinator(harness, FabricConfig(pool=2))
+        results = coordinator.run_campaign(
+            CAMPAIGN, seed=SEED, byte_stride=STRIDE,
+            max_specs=MAX_SPECS, shard_count=4,
+            workdir=str(tmp_path / "fabric"), grade=False)
+        engine = results.meta["engine"]
+        assert os.path.exists(flag)             # a worker really died
+        assert [r.to_dict() for r in results.results] == serial
+        assert engine["worker_failures"] == 1
+        assert engine["workers_spawned"] == 3
+        assert engine["replayed_records"] == 0
+        assert engine["serial_completions"] == 0
+
+    def test_shard_jobs_fork_inside_pool_workers(self, harness, serial,
+                                                 tmp_path):
+        """A pool worker may fork the engine workers of its shard."""
+        coordinator = FabricCoordinator(
+            harness, FabricConfig(pool=2, shard_jobs=2, backoff=0.0))
+        results = coordinator.run_campaign(
+            CAMPAIGN, seed=SEED, byte_stride=STRIDE,
+            max_specs=MAX_SPECS, shard_count=2,
+            workdir=str(tmp_path / "fabric"), grade=False)
+        engine = results.meta["engine"]
+        assert engine["worker_failures"] == 0
+        assert engine["degraded"] is False
         assert [r.to_dict() for r in results.results] == serial
 
     def test_serial_fallback_without_pool(self, harness, serial,
