@@ -21,7 +21,8 @@ lint-kernel:
 # What .github/workflows/ci.yml runs: lint (when available) + the
 # kernel-image linter + tier-1 + the campaign benchmark's own tests
 # (incl. a --smoke run checked against the pinned digests) + the smoke
-# studies.
+# studies.  The smoke benches write under the git-ignored results/, so
+# the committed BENCH_*.json records stay as their full runs left them.
 ci:
 	@if $(PY) -m flake8 --version >/dev/null 2>&1; then \
 		$(PY) -m flake8 src tests; \
@@ -44,9 +45,10 @@ ci:
 	PYTHONPATH=src $(PY) -m repro.experiments.fault_model_study --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.fabric_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.delta_validation --smoke
-	PYTHONPATH=src $(PY) benchmarks/bench_jit.py --smoke --gate 3.0
+	PYTHONPATH=src $(PY) benchmarks/bench_jit.py --smoke --gate 3.0 \
+		--output results/BENCH_jit.smoke.json
 	PYTHONPATH=src $(PY) benchmarks/bench_delta.py --smoke \
-		--max-fraction 0.5
+		--max-fraction 0.5 --output results/BENCH_delta.smoke.json
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only

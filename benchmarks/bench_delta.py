@@ -124,6 +124,7 @@ def main(argv=None):
     max_specs = 36 if args.smoke else args.max_specs
     record = run_benchmarks(campaign=args.campaign, seed=args.seed,
                             stride=args.stride, max_specs=max_specs)
+    os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
     with open(args.output, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")

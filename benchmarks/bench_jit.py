@@ -24,6 +24,7 @@ Run from the repo root::
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -116,6 +117,7 @@ def main(argv=None):
 
     repeats = 2 if args.smoke else args.repeats
     record = run_benchmarks(workload=args.workload, repeats=repeats)
+    os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
     with open(args.output, "w") as handle:
         json.dump(record, handle, indent=2, sort_keys=True)
         handle.write("\n")

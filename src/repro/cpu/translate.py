@@ -10,23 +10,36 @@ This module pre-decodes *traces* — straight-line instruction runs
 seeded at the statically recovered CFG's block leaders
 (:mod:`repro.staticanalysis.cfg`) plus on-demand discovery, extended
 through direct ``jmp``/``call`` targets and ``jcc`` fallthroughs
-(taken sides become committed side exits) — and compiles each into one
-specialized Python function (``exec``-generated source).  Decode
-happens once; execution happens many times with no fetch, no
+(taken sides become committed side exits) — and compiles the hot ones
+into one specialized Python function each (``exec``-generated source).
+Decode happens once; execution happens many times with no fetch, no
 decode-cache validation, no per-instruction event checks, and no
 per-instruction call dispatch.
 
 Translation is *tiered*: compiling a trace costs milliseconds, far
-more than interpreting it a few times, and most of the code a campaign
-touches runs only a handful of times per process.  A trace head is
-interpreted until it has been dispatched :data:`HOT_DISPATCHES` times,
-and a hot head is compiled only at a dispatch where the guard would let
-the trace run (see below), so no compile is spent on a trace refused
-at the very dispatch that built it.  Heat counts and compiled templates
-live in one :class:`CodeCache` per kernel image (:func:`code_cache`):
-every machine cloned from a kernel shares them, forked campaign workers
-inherit them, and a template is revalidated against the raw code bytes
-before reuse.
+more than interpreting it a few dozen times, and most of the code a
+campaign touches runs only a handful of times per process.  Three
+tiers serve a trace head:
+
+1. *interpreted* — until dispatch has met the head
+   :data:`HOT_DISPATCHES` times, each instruction is single-stepped;
+2. *threaded* — then its trace is discovered and bound as its decoded
+   instructions and their handlers, run one after another by
+   ``_step_one``'s body minus the fetch (:func:`_threaded`), behind
+   the same guard and invalidation as a compiled trace;
+3. *compiled* — once the trace's template has been dispatched
+   :data:`COMPILE_DISPATCHES` times in the process, its source is
+   generated and compiled, and the threaded binding that noticed is
+   swapped for the compiled one in place.
+
+A threaded trace runs every handler with the interpreter's own
+per-instruction commits, so it is bit-identical by construction; it
+only skips the fetch and the per-instruction event checks, which the
+guard proves dead.  Heat counts and templates live in one
+:class:`CodeCache` per kernel image (:func:`code_cache`): every machine
+cloned from a kernel shares them, forked campaign workers inherit
+them, and a template is revalidated against the raw code bytes before
+reuse.
 
 The generated code exploits what the interpreter cannot: within a
 block, ``cycles``/``instret`` retires are *batched* into compile-time
@@ -55,7 +68,8 @@ Bit-identity contract (the differential harness in
   block that could cross it, or that contains a DR0 breakpoint
   address — those cases, like cold heads, fall back to single-step
   interpretation (``_step_one``, a verbatim copy of the interpreter
-  loop body);
+  loop body).  A threaded trace's ``worst`` sums :func:`_cost` over
+  its instructions, which bounds a compiled trace's from above;
 * instructions that can enable interrupts, redirect control, or change
   paging/debug state terminate their block, so no IRQ window or
   breakpoint map change can open mid-block;
@@ -75,9 +89,10 @@ bytes of the *currently executing* trace additionally sets
 ``BlockCache.stale``; the generated code tests it after every writing
 instruction and side-exits at the instruction boundary with the exact
 interpreted ``cycles``/``instret``/``eip``, so even a self-modifying
-store inside a trace never runs stale code.  This is the same
-write-generation discipline the interpreter's decode cache uses,
-unified behind one notification path.
+store inside a trace never runs stale code; a threaded trace tests the
+flag after every instruction.  This is the same write-generation
+discipline the interpreter's decode cache uses, unified behind one
+notification path.
 """
 
 import struct
@@ -99,10 +114,15 @@ KERNEL_SPACE = 0xC0000000
 #: longest instruction run compiled into one translated trace.
 MAX_TRACE = 64
 
-#: dispatches of a trace head, per process, before it is compiled;
-#: until then it is interpreted.  Chosen by a sweep over campaign
-#: workloads (docs/translation.md, "Tiering").
-HOT_DISPATCHES = 64
+#: dispatches of a trace head, per process, before its trace is bound
+#: threaded; until then it is interpreted.  Chosen with
+#: :data:`COMPILE_DISPATCHES` by a sweep over the campaign workloads
+#: (docs/translation.md, "Tiering").
+HOT_DISPATCHES = 4
+
+#: threaded dispatches of a template, per process, before its trace
+#: is compiled.
+COMPILE_DISPATCHES = 128
 
 #: cap on a trace's worst-case interior cycle cost.  The dispatcher
 #: only enters a trace when ``cycles + worst`` stays below the event
@@ -171,13 +191,14 @@ class CodeCache:
       traces tile the recovered CFG instead of forming overlapping
       superblocks.
     * ``heat`` — ``(eip, user)`` -> how often dispatch has met that
-      head without a resident block; a head is translated once this
+      head without a resident block; a head's trace is bound once this
       reaches :data:`HOT_DISPATCHES`.
     * ``templates`` — ``(eip, user)`` -> list of :class:`Template`,
       everything about a trace that depends only on its code bytes.  A
-      machine whose bytes still match skips fetch, decode, codegen and
-      compilation; a mismatch (an injected flip) falls through to fresh
-      discovery, and a restored flip re-matches the original template.
+      machine whose bytes still match skips fetch and decode (and
+      compilation, once a machine has compiled the template); a
+      mismatch (an injected flip) falls through to fresh discovery,
+      and a restored flip re-matches the original template.
     * ``decoded`` — ``(eip, user)`` -> the last instruction decoded
       there by any machine (see ``CPU.decode_memo``): a fresh clone
       interpreting cold code revalidates it against the raw bytes
@@ -237,32 +258,98 @@ def code_cache(kernel):
 class Template:
     """A discovered trace, independent of any machine.
 
-    ``source`` holds the generated code until the first dispatch that
-    can run the trace compiles it into ``make`` (a factory binding the
-    trace to one machine); a negative template (untranslatable head,
+    Until it is compiled, ``items`` holds the discovered ``(ins,
+    kind)`` run (see :func:`_gen_source`) and ``seq`` the threaded
+    program built from it; ``runs`` counts the threaded dispatches of
+    the trace in this process, and ``worst`` is the threaded guard's
+    bound.  :meth:`compile` replaces ``items`` and ``seq`` with
+    ``make`` (a factory binding the compiled trace to one machine) and
+    tightens ``worst`` to the compiled trace's.  A negative template (untranslatable head,
     e.g. a rep-string resume) has neither.
     """
 
-    __slots__ = ("spans", "raw", "source", "make", "generics", "worst",
-                 "eips")
+    __slots__ = ("spans", "raw", "eips", "user", "end", "items", "seq",
+                 "worst", "runs", "make", "generics")
 
-    def __init__(self, spans, raw, source, generics, worst, eips):
+    def __init__(self, spans, raw, eips, user=False, end=0, items=None):
         self.spans = spans
         self.raw = raw
-        self.source = source
-        self.make = None
-        self.generics = generics
-        self.worst = worst
         self.eips = eips
+        self.user = user
+        self.end = end
+        self.items = items
+        self.seq = None
+        self.worst = 0
+        self.runs = 0
+        self.make = None
+        self.generics = ()
+        if items:
+            # (ins, handler, eip, fallthrough, next trace eip): the
+            # trace goes on only where the instruction lands on its
+            # successor in the trace, and ends after the last one.
+            seq = []
+            for k, (ins, _kind) in enumerate(items):
+                nxt = items[k + 1][0].addr if k + 1 < len(items) else None
+                seq.append((ins, ins.run, ins.addr,
+                            (ins.addr + ins.length) & M32, nxt))
+            self.seq = tuple(seq)
+            self.worst = sum(_cost(ins) for ins, _kind in items[:-1])
+
+    def compile(self):
+        """Generate and compile the trace's source, dropping the
+        threaded program (bindings made from it keep their own)."""
+        source, generics, self.worst = _gen_source(self.items, self.user,
+                                                   self.end)
+        self.make = _compile(source)
+        self.generics = tuple(generics)
+        self.items = self.seq = None
+
+
+def _threaded(tpl, watch):
+    """Bind a template's threaded program: each instruction runs
+    exactly as ``_step_one`` runs it, minus the fetch.
+
+    The trace goes on while every instruction lands on its successor
+    in the trace and no store has evicted a block (``watch.stale``);
+    otherwise it stops at that instruction boundary with the
+    interpreter's exact state, like the compiled trace's side exits.
+    A trap escapes with ``eip`` at the trapping instruction for
+    dispatch to deliver.  Returns the template once it is due for
+    compiling, else ``None``.  The closure holds the template and the
+    cache, never its :class:`Block`: a block that its own binding
+    kept alive would keep a finished machine alive with it.
+    """
+    seq = tpl.seq
+
+    def block(cpu):
+        tpl.runs += 1
+        for ins, run, eip, fallthrough, nxt in seq:
+            cpu.next_eip = fallthrough
+            run(cpu, ins)
+            new_eip = cpu.next_eip
+            cpu.eip = new_eip
+            cpu.cycles += 1
+            cpu.instret += 1
+            if new_eip != fallthrough and new_eip != eip:
+                tb = cpu.trace_branch
+                if tb is not None:
+                    tb(eip, new_eip)
+            if new_eip != nxt or watch.stale:
+                break
+        if tpl.runs >= COMPILE_DISPATCHES:
+            return tpl
+        return None
+    return block
 
 
 class Block:
     """One translated straight-line run.
 
-    ``fn`` is ``None`` for negative entries (untranslatable heads,
-    e.g. rep-string resumes) cached so dispatch skips rediscovery;
-    negative entries still register their bytes so stores invalidate
-    them like any block.
+    ``fn`` is the compiled trace or a threaded binding
+    (:func:`_threaded`); it is ``None`` for negative entries
+    (untranslatable heads, e.g. rep-string resumes) cached so dispatch
+    skips rediscovery; negative entries still register their bytes so
+    stores invalidate them like any block.
     """
 
     __slots__ = ("key", "fn", "worst", "eips", "ranges")
@@ -1099,6 +1186,7 @@ class BlockCache:
         #: phys page -> [(lo, hi, key)] byte ranges of resident blocks
         self.page_ranges = {}
         self.translated = 0
+        self.threaded = 0
         self.compiled = 0
         self.hits = 0
         self.invalidations = 0
@@ -1116,6 +1204,7 @@ class BlockCache:
     def stats(self):
         return {
             "blocks": self.translated,
+            "threaded": self.threaded,
             "compiled": self.compiled,
             "hits": self.hits,
             "invalidations": self.invalidations,
@@ -1211,42 +1300,49 @@ class BlockCache:
                 bucket.append((lo, hi, block.key))
         return True
 
+    def _bind(self, cpu, tpl):
+        """Bind a compiled template's trace to this machine."""
+        bus = self.bus
+        return tpl.make(bus, cpu.regs, bus.ram, bus.tlb, bus.page_versions,
+                        self, self.page_ranges, bus.ram_size, _PARITY,
+                        _U32, _P32, _P8W, _U8W, tpl.generics)
+
     def _materialize(self, cpu, key, tpl):
         """Bind a template to this machine and cache the Block."""
-        bus = self.bus
-        if tpl.make is None:
-            block = Block(key, None, 0, tpl.eips)
+        if tpl.make is not None:
+            fn = self._bind(cpu, tpl)
+        elif tpl.seq is not None:
+            fn = _threaded(tpl, self)
         else:
-            fn = tpl.make(bus, cpu.regs, bus.ram, bus.tlb,
-                          bus.page_versions, self, self.page_ranges,
-                          bus.ram_size, _PARITY, _U32, _P32, _P8W, _U8W,
-                          tpl.generics)
-            block = Block(key, fn, tpl.worst, tpl.eips)
+            fn = None   # a negative template
+        block = Block(key, fn, tpl.worst, tpl.eips)
         if len(self.blocks) >= self.max_blocks:
             self.flush()
         if not self._register(block, cpu, tpl.spans):
             return None
         self.blocks[key] = block
         self.translated += 1
+        if fn is not None and tpl.make is None:
+            self.threaded += 1
         return block
 
     def _translate(self, cpu, eip, key, tkey, horizon):
-        """Bind the trace of the hot head ``eip`` that dispatch missed
-        — compiling it first if no machine has yet — but only when the
-        trace can run right now.  ``tkey`` is the head's ``(eip,
-        user)`` heat and template key.
+        """Bind the trace of the hot head ``eip`` that dispatch missed.
+        ``tkey`` is the head's ``(eip, user)`` heat and template key.
 
-        Returns the cached :class:`Block`, or ``None`` to interpret this
-        instruction: the head is undecodable (the single-step fallback
-        delivers the trap), or its trace would cross the event horizon
-        or contain a DR0 address.  A refused trace keeps its generated
-        source in the template, so the next dispatch that can run it
-        compiles it without rediscovery.  Within ``WORST_CAP`` cycles
-        of the next timer tick a head with no template is not even
-        discovered: dispatch single-steps through the interiors of
-        refused traces there, so the heads it meets are mostly interior
-        addresses whose traces would be refused now and never
-        dispatched again away from a tick.
+        The trace is bound threaded until its template is due for
+        compiling; a due template is compiled here only if the trace
+        can run right now (the threaded guard, which bounds the
+        compiled one, passes), else it is bound threaded and compiled
+        by the first dispatch that runs it (:meth:`_promote`).
+
+        Returns the cached :class:`Block`, or ``None`` to interpret
+        this instruction: the head is undecodable (the single-step
+        fallback delivers the trap), or it has no template and the next
+        timer tick is within ``WORST_CAP`` cycles.  There dispatch
+        single-steps through the interiors of refused traces, so the
+        heads it meets are mostly interior addresses whose traces would
+        be refused now and never dispatched again away from a tick.
         """
         tpl = self._match(tkey)
         if tpl is None:
@@ -1257,15 +1353,29 @@ class BlockCache:
             if tpl is None:
                 return None
             self._remember(tkey, tpl)
-        if tpl.make is None and tpl.source is not None:
+        if tpl.make is None and tpl.seq is not None \
+                and tpl.runs >= COMPILE_DISPATCHES:
             bp = cpu.bp_addrs
-            if cpu.cycles + tpl.worst >= horizon \
-                    or (bp and not tpl.eips.isdisjoint(bp)):
-                return None
-            tpl.make = _compile(tpl.source)
-            tpl.source = None
-            self.compiled += 1
+            if cpu.cycles + tpl.worst < horizon \
+                    and (not bp or tpl.eips.isdisjoint(bp)):
+                tpl.compile()
+                self.compiled += 1
         return self._materialize(cpu, key, tpl)
+
+    def _promote(self, cpu, block, tpl):
+        """Swap the threaded binding of ``block``, whose template is
+        due, for its compiled trace, compiling the template first if no
+        machine has yet.  The dispatch that just ran the threaded trace
+        passed its guard, which bounds the compiled trace's, so no
+        compile is spent on a trace that could not run.  A block its
+        own run evicted is left to rediscovery."""
+        if self.blocks.get(block.key) is not block:
+            return
+        if tpl.make is None:
+            tpl.compile()
+            self.compiled += 1
+        block.fn = self._bind(cpu, tpl)
+        block.worst = tpl.worst
 
     def _match(self, tkey):
         """The recorded template whose bytes match memory now."""
@@ -1299,9 +1409,9 @@ class BlockCache:
         ways.append(tpl)
 
     def _discover(self, cpu, eip, user):
-        """Decode the trace at ``eip`` and generate its source.
+        """Decode the trace at ``eip`` into a :class:`Template`.
 
-        Returns a :class:`Template`, or ``None`` when the head is
+        Returns the template, or ``None`` when the head is
         undecodable.  Discovery extends straight-line runs through
         direct ``jmp`` targets and ``jcc`` fallthroughs (taken sides
         become committed side exits) until a real terminator, the
@@ -1389,7 +1499,7 @@ class BlockCache:
         if negative:
             if addr - eip <= 0:
                 return None
-            return Template(((eip, addr - eip),), ins.raw, None, None, 0,
+            return Template(((eip, addr - eip),), ins.raw,
                             frozenset((eip,)))
         if not items:
             return None
@@ -1399,10 +1509,9 @@ class BlockCache:
         spans = tuple((vs, vl) for vs, vl in spans if vl > 0)
         if not spans:
             return None
-        source, generics, worst = _gen_source(items, user, addr)
-        return Template(spans, b"".join(i.raw for i, _ in items), source,
-                        tuple(generics), worst,
-                        frozenset(i.addr for i, _ in items))
+        return Template(spans, b"".join(i.raw for i, _ in items),
+                        frozenset(i.addr for i, _ in items), user, addr,
+                        tuple(items))
 
     @staticmethod
     def _contains(items, target):
@@ -1507,7 +1616,7 @@ class BlockCache:
                             and (not bp or block.eips.isdisjoint(bp)):
                         self.stale = False
                         try:
-                            block.fn(cpu)
+                            due = block.fn(cpu)
                         except Trap as trap:
                             cpu.cycles += 10
                             return_eip = (trap.return_eip
@@ -1516,6 +1625,8 @@ class BlockCache:
                             deliver(trap.vector, trap.error_code,
                                     return_eip, cr2=trap.cr2)
                             break
+                        if due is not None:
+                            self._promote(cpu, block, due)
                         if cpu.cycles >= horizon:
                             break
                         continue

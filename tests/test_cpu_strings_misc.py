@@ -298,7 +298,22 @@ done:
 
     def test_store_over_a_resident_block_evicts_it(
             self, element_reference, monkeypatch):
+        # Every head is bound at its first dispatch and compiled there.
+        self._store_over_a_resident_block(element_reference, monkeypatch,
+                                          compile_dispatches=0)
+
+    def test_store_over_a_resident_threaded_block_evicts_it(
+            self, element_reference, monkeypatch):
+        # The same, with promotion out of reach.
+        self._store_over_a_resident_block(element_reference, monkeypatch,
+                                          compile_dispatches=10 ** 9)
+
+    @staticmethod
+    def _store_over_a_resident_block(element_reference, monkeypatch,
+                                     compile_dispatches):
         monkeypatch.setattr("repro.cpu.translate.HOT_DISPATCHES", 1)
+        monkeypatch.setattr("repro.cpu.translate.COMPILE_DISPATCHES",
+                            compile_dispatches)
         source = """
 _start:
     mov ecx, 4

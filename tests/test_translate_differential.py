@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.cpu.cpu import CPU, CpuHalted, WatchdogExpired
 from repro.cpu.memory import MemoryBus
-from repro.cpu.translate import BlockCache
+from repro.cpu.translate import BlockCache, CodeCache, code_cache
 from repro.injection.campaigns import plan_campaign, select_targets
 from repro.injection.faultmodels import (
     plan_fault_model_campaign,
@@ -119,6 +119,38 @@ class TestSeededSlice:
                                           jobs=2)
         assert len(interp) >= 20
         assert _dicts(translated) == _dicts(interp)
+
+
+class TestPinnedTiers:
+    """A few campaign-A specs with every head bound at its first
+    dispatch and either compiled there or never compiled, on a code
+    cache no other test has warmed."""
+
+    @pytest.mark.parametrize("compile_dispatches", (0, 10 ** 9),
+                             ids=("compiled", "threaded"))
+    def test_campaign_a_specs(self, interpreted_harness, harness,
+                              monkeypatch, compile_dispatches):
+        kernel = harness.kernel
+        fresh = CodeCache(code_cache(kernel).leaders)
+        monkeypatch.setattr(kernel, "_code_cache", fresh)
+        monkeypatch.setattr("repro.cpu.translate.HOT_DISPATCHES", 1)
+        monkeypatch.setattr("repro.cpu.translate.COMPILE_DISPATCHES",
+                            compile_dispatches)
+        functions = select_targets(kernel, harness.profile, "A")
+        specs = plan_campaign(kernel, "A", functions, seed=2003,
+                              byte_stride=40)
+        for spec in specs[::len(specs) // 4][:4]:
+            translated = harness.run_spec(copy.deepcopy(spec), grade=False)
+            reference = interpreted_harness.run_spec(copy.deepcopy(spec),
+                                                     grade=False)
+            assert translated.to_dict() == reference.to_dict()
+        makes = [tpl.make for ways in fresh.templates.values()
+                 for tpl in ways if tpl.raw]
+        assert makes
+        if compile_dispatches:
+            assert not any(makes)
+        else:
+            assert any(makes)
 
 
 # ----------------------------------------------------------------------

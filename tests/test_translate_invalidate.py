@@ -11,9 +11,11 @@ protocols and require bit-identical architectural state throughout —
 the same contract the injection campaigns rely on.
 
 The protocols flip bytes of *resident* blocks, so every test here pins
-the tiering threshold to one dispatch: a head is compiled the first
-time dispatch meets it (tests/test_translate_tiering.py covers the
-production threshold).
+the tiering thresholds: a head is bound the first time dispatch meets
+it, and compiled there too.  Each class runs once more as its
+``...Threaded`` subclass with promotion out of reach, so the same
+protocols hold threaded traces to the same contract
+(tests/test_translate_tiering.py covers the production thresholds).
 """
 
 import hashlib
@@ -52,9 +54,17 @@ def build(source=LOOP_SRC, translate=False, ram=0x100000):
     return cpu, program, cache
 
 
+#: COMPILE_DISPATCHES of the ``...Threaded`` classes: never reached.
+NEVER = 10 ** 9
+
+
 @pytest.fixture
-def compile_on_first_dispatch(monkeypatch):
+def pinned_tiers(request, monkeypatch):
+    """Bind every head at its first dispatch and compile it there,
+    unless the test class sets ``compile_dispatches``."""
     monkeypatch.setattr("repro.cpu.translate.HOT_DISPATCHES", 1)
+    monkeypatch.setattr("repro.cpu.translate.COMPILE_DISPATCHES",
+                        getattr(request.cls, "compile_dispatches", 0))
 
 
 def fingerprint(cpu):
@@ -98,7 +108,7 @@ def both_engines(source, protocol):
     return fingerprint(cpu_i), fingerprint(cpu_t), cache
 
 
-@pytest.mark.usefixtures("compile_on_first_dispatch")
+@pytest.mark.usefixtures("pinned_tiers")
 class TestFlipInvalidation:
     def test_flip_inside_block_matches_interpreter(self):
         # Flip the `add eax, 1` immediate to 3 mid-loop: the resident
@@ -143,8 +153,23 @@ class TestFlipInvalidation:
         assert after["resident"] == len(cache.blocks)
         assert after["resident"] < before["resident"]
 
+    def test_pin_selects_the_tier(self):
+        cpu, _, cache = build(translate=True)
+        drive(cpu, cache, [])
+        stats = cache.stats()
+        if getattr(self, "compile_dispatches", 0) == 0:
+            assert stats["compiled"] == stats["blocks"] > 0
+            assert stats["threaded"] == 0
+        else:
+            assert stats["threaded"] == stats["blocks"] > 0
+            assert stats["compiled"] == 0
 
-@pytest.mark.usefixtures("compile_on_first_dispatch")
+
+class TestFlipInvalidationThreaded(TestFlipInvalidation):
+    compile_dispatches = NEVER
+
+
+@pytest.mark.usefixtures("pinned_tiers")
 class TestBoundaryWrites:
     def _resident_block(self):
         cpu, program, cache = build(translate=True)
@@ -188,7 +213,11 @@ class TestBoundaryWrites:
         assert cache.invalidations == invalidations
 
 
-@pytest.mark.usefixtures("compile_on_first_dispatch")
+class TestBoundaryWritesThreaded(TestBoundaryWrites):
+    compile_dispatches = NEVER
+
+
+@pytest.mark.usefixtures("pinned_tiers")
 class TestSelfModifyingStore:
     SMC_SRC = """
 _start:
@@ -233,3 +262,7 @@ patch:
         protocol = [(b, []) for b in range(5, 60, 7)]
         fp_i, fp_t, _cache = both_engines(source, protocol)
         assert fp_i == fp_t
+
+
+class TestSelfModifyingStoreThreaded(TestSelfModifyingStore):
+    compile_dispatches = NEVER
