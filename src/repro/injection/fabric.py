@@ -68,8 +68,9 @@ from repro.injection.outcomes import HARNESS_ERROR, InjectionResult
 #: Version of the shard-journal header layout.
 SHARD_SCHEMA_VERSION = 1
 
-#: Version of the boot-snapshot store's pickle payload.
-STORE_VERSION = 2
+#: Version of the boot-snapshot store's pickle payload (3: the golden
+#: run's checkpoints and first-window coverage map).
+STORE_VERSION = 3
 
 #: How a shard failure is reported in coordinator telemetry.
 SHARD_DIED = "shard_died"
@@ -363,8 +364,8 @@ class SnapshotStore:
 
     Booting to the injection point dominates a shard's startup cost;
     the store keys frozen :class:`~repro.injection.runner.GoldenRun`
-    bundles (post-boot machine snapshot, golden workload result,
-    coverage, boot cycle count) on ``(kernel fingerprint, workload,
+    bundles (the golden run's checkpoints, its workload result, its
+    coverage map, boot cycle count) on ``(kernel fingerprint, workload,
     recovery, disk_retries)`` so a kernel/workload pair boots **once**
     per store, not once per shard process.  Entries are written
     atomically and verified against the live kernel on load; a
@@ -456,9 +457,13 @@ class SnapshotStore:
 
 #: MachineSnapshot attributes beyond the CPU field dict that the store
 #: serializes (the kernel/layout references are re-attached on thaw).
-_SNAP_STATE = ("ram", "cr3", "paging_enabled", "tlb", "tlb_gen", "disk",
-               "disk_state", "transferred", "console", "regs", "segs",
-               "dr", "fields")
+#: The checkpoints are pickled together, so the RAM and disk bytes a
+#: page-delta checkpoint shares with checkpoint 0, and the page bytes
+#: and decode-cache parts it shares with its predecessor, are stored
+#: once.
+_SNAP_STATE = ("ram", "pages", "cr3", "paging_enabled", "tlb", "tlb_gen",
+               "disk", "sectors", "disk_state", "transferred", "console",
+               "regs", "segs", "dr", "fields", "decoded", "versions")
 
 #: Golden RunResult fields the store round-trips (a golden run shut
 #: down cleanly, so there are no crash records and no trace).
@@ -467,17 +472,17 @@ _RESULT_STATE = ("status", "exit_code", "console", "cycles", "instret",
 
 
 def _freeze_golden(run):
-    snap = run.snapshot
     return {
         "version": STORE_VERSION,
-        "kernel": kernel_fingerprint(snap.kernel),
+        "kernel": kernel_fingerprint(run.snapshot.kernel),
         "workload": run.workload,
         "boot_cycles": run.boot_cycles,
-        "coverage": sorted(run.coverage),
+        "coverage": run.coverage,
         "disk_image": bytes(run.disk_image.image)
         if hasattr(run.disk_image, "image") else bytes(run.disk_image),
-        "snapshot": {name: getattr(snap, name)
-                     for name in _SNAP_STATE},
+        "checkpoints": [{name: getattr(snap, name)
+                         for name in _SNAP_STATE}
+                        for snap in run.checkpoints],
         "result": {name: getattr(run.result, name)
                    for name in _RESULT_STATE},
     }
@@ -487,21 +492,22 @@ def _thaw_golden(payload, kernel):
     from repro.machine.machine import MachineSnapshot, RunResult
     from repro.injection.runner import GoldenRun
 
-    snap = MachineSnapshot.__new__(MachineSnapshot)
-    snap.kernel = kernel
-    snap.layout = kernel.layout
-    for name in _SNAP_STATE:
-        setattr(snap, name, payload["snapshot"][name])
+    checkpoints = []
+    for state in payload["checkpoints"]:
+        snap = MachineSnapshot.__new__(MachineSnapshot)
+        snap.kernel = kernel
+        snap.layout = kernel.layout
+        for name in _SNAP_STATE:
+            setattr(snap, name, state[name])
+        checkpoints.append(snap)
     fields = payload["result"]
     result = RunResult(fields["status"], fields["exit_code"],
                        fields["console"], None, fields["cycles"],
                        fields["instret"], fields["disk_image"],
                        detail=fields["detail"])
-    run = GoldenRun(payload["workload"], result,
-                    set(payload["coverage"]), payload["disk_image"],
-                    payload["boot_cycles"])
-    run.snapshot = snap
-    return run
+    return GoldenRun(payload["workload"], result, payload["coverage"],
+                     payload["disk_image"], payload["boot_cycles"],
+                     checkpoints)
 
 
 # ---------------------------------------------------------------------------

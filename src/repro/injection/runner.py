@@ -6,7 +6,8 @@ trigger, flips the bit on first execution of the target instruction,
 runs under a watchdog, and classifies the outcome against the golden
 run.  Activation is decided exactly from golden-run coverage (the run is
 deterministic; behaviour diverges only once the corrupted instruction
-executes).
+executes).  For the same reason an injected run starts from the golden
+run's last checkpoint before its trigger first executed, not from boot.
 """
 
 import json
@@ -58,20 +59,38 @@ def _console_subsumes(golden_text, observed_text):
 
 
 class GoldenRun:
-    """Reference (fault-free) execution of one workload."""
+    """Reference (fault-free) execution of one workload.
+
+    *checkpoints* are the golden machine's states at the start of each
+    window of :data:`~repro.machine.machine.CHECKPOINT_EVERY` cycles
+    (see :meth:`Machine.run <repro.machine.machine.Machine.run>`):
+    ``checkpoints[0]`` is the post-boot snapshot, the others are page
+    deltas against it.  *coverage* maps every EIP the workload executed
+    to the window in which the golden first executed it.
+    """
 
     def __init__(self, workload, result, coverage, disk_image,
-                 boot_cycles):
-        self.snapshot = None              # post-boot MachineSnapshot
+                 boot_cycles, checkpoints):
+        self.checkpoints = checkpoints
         self.workload = workload
         self.result = result
-        self.coverage = coverage          # post-boot executed EIPs
+        self.coverage = coverage          # post-boot EIP -> first window
         self.disk_image = disk_image      # pristine boot image
         self.boot_cycles = boot_cycles
         self.console = result.console
         self.exit_code = result.exit_code
         self.cycles = result.cycles
         self.final_disk = result.disk_image
+
+    @property
+    def snapshot(self):
+        """The post-boot snapshot (checkpoint 0)."""
+        return self.checkpoints[0]
+
+    def checkpoint_for(self, eip):
+        """The last checkpoint before the golden first executed *eip*:
+        a clone of it runs as the golden did until it reaches *eip*."""
+        return self.checkpoints[self.coverage[eip]]
 
     @property
     def workload_cycles(self):
@@ -194,9 +213,10 @@ class InjectionHarness:
                 if run is not None:
                     # Execution mode is not part of the store key
                     # (translated results are bit-identical); stamp the
-                    # thawed snapshot so clones run in this harness's
-                    # mode regardless of who froze it.
-                    run.snapshot.translate = self.translate
+                    # thawed checkpoints so clones run in this harness's
+                    # mode regardless of who froze them.
+                    for checkpoint in run.checkpoints:
+                        checkpoint.translate = self.translate
                     self._golden[workload] = run
                     return run
             disk = build_standard_disk(self.binaries, workload)
@@ -212,23 +232,24 @@ class InjectionHarness:
             machine.run_until_console(BOOT_MARKER,
                                       max_cycles=10_000_000)
             boot_cycles = machine.cpu.cycles
-            snapshot = machine.snapshot()
             if self.trace:
-                # Enabled *after* the snapshot so the golden trace and
-                # every per-experiment clone's trace start from the
-                # same machine state and align stamp-for-stamp.
+                # Enabled at the post-boot state that checkpoint 0
+                # freezes, so the golden trace and every
+                # per-experiment clone's trace start from the same
+                # machine state and align stamp-for-stamp.
                 machine.enable_trace(channels=self.trace_channels,
                                      capacity=self.trace_capacity)
-            coverage = set()
+            coverage = {}
+            checkpoints = []
             result = machine.run(max_cycles=120_000_000,
-                                 coverage=coverage)
+                                 coverage=coverage,
+                                 checkpoints=checkpoints)
             machine.close()
             if result.status != "shutdown" or result.exit_code != 0:
                 raise RuntimeError("golden run of %r failed: %r"
                                    % (workload, result))
             run = GoldenRun(workload, result, coverage, disk,
-                            boot_cycles)
-            run.snapshot = snapshot
+                            boot_cycles, checkpoints)
             self._golden[workload] = run
             if store is not None:
                 store.save(key, run)
@@ -368,9 +389,17 @@ class InjectionHarness:
             return InjectionResult(outcome=NOT_ACTIVATED, activated=False,
                                    **base)
         golden = self.golden(spec.workload)
-        # Clone the booted machine instead of re-running the (identical,
-        # fault-free) boot: same protocol, ~2x the campaign throughput.
-        machine = golden.snapshot.clone()
+        # Every model triggers on DR0 at the spec's address, and until
+        # then an injected run *is* the golden run: clone the golden's
+        # last checkpoint before it first executed that address instead
+        # of re-running the boot and the fault-free prefix.  Traced runs
+        # start at the post-boot snapshot, where the golden trace does,
+        # so their stamps align with it.
+        if self.trace:
+            start = golden.snapshot
+        else:
+            start = golden.checkpoint_for(spec.instr_addr)
+        machine = start.clone()
         state = {}
         try:
             if self.trace:
@@ -385,7 +414,8 @@ class InjectionHarness:
                     m.flip_bit(spec.target_byte_addr, spec.bit)
 
                 machine.arm_breakpoint(spec.instr_addr, callback)
-            budget = machine.cpu.cycles \
+            # Anchored at the end of boot, wherever the clone starts.
+            budget = golden.boot_cycles \
                 + golden.workload_cycles * self.watchdog_factor \
                 + self.watchdog_slack
             result = machine.run(max_cycles=budget)

@@ -7,12 +7,15 @@ host watchdog, and collect console output, crash dumps and the final
 disk image for severity grading.
 """
 
+import operator
 import struct
+from itertools import compress, count
 
 from repro.cpu.cpu import CPU, CpuHalted, WatchdogExpired
 from repro.cpu.devices import ConsoleDevice, DiskDevice, DumpDevice, \
     MachineShutdown, ShutdownDevice
-from repro.cpu.memory import MemoryBus, PageTableBuilder
+from repro.cpu.memory import PAGE_SHIFT, PAGE_SIZE, MemoryBus, \
+    PageTableBuilder
 from repro.cpu.traps import TripleFault
 from repro.kernel.layout import KernelLayout
 from repro.machine.disk import LIBC_CONTENT, mkfs
@@ -22,6 +25,12 @@ DEFAULT_WATCHDOG = 30_000_000
 #: Cycles between the snapshots a shared boot keeps: each costs a copy
 #: of RAM, and a rebased clone repeats at most this much of the prefix.
 SHARED_BOOT_KEEP_EVERY = 16_384
+
+#: Cycles per window of a checkpointed run (:meth:`Machine.run`): the
+#: run keeps a checkpoint at the end of every window, and a clone of
+#: the last checkpoint before an instruction first ran repeats at most
+#: this much of the run before reaching it.
+CHECKPOINT_EVERY = SHARED_BOOT_KEEP_EVERY
 
 
 class CrashRecord:
@@ -83,10 +92,10 @@ class RunResult:
         #: :class:`~repro.tracing.ring.Trace` snapshot when the machine
         #: ran with :meth:`Machine.enable_trace`, else ``None``.
         self.trace = trace
-        #: Translation-cache telemetry dict (blocks, compiled, hits,
-        #: invalidations, single_steps, resident) when the machine ran
-        #: with ``Machine(translate=True)``, else ``None``.  Telemetry
-        #: only — a translated run's architectural results are
+        #: Translation-cache telemetry dict (blocks, threaded, compiled,
+        #: hits, invalidations, single_steps, resident) when the machine
+        #: ran with ``Machine(translate=True)``, else ``None``.
+        #: Telemetry only — a translated run's architectural results are
         #: bit-identical to the interpreter's.
         self.translation = translation
 
@@ -323,14 +332,31 @@ class Machine:
 
     # -- running -------------------------------------------------------------
 
-    def run(self, max_cycles=DEFAULT_WATCHDOG, coverage=None):
-        """Boot/resume the machine until it stops; returns a RunResult."""
+    def run(self, max_cycles=DEFAULT_WATCHDOG, coverage=None,
+            checkpoints=None):
+        """Boot/resume the machine until it stops; returns a RunResult.
+
+        *coverage*, when given, collects every executed EIP.  With
+        *checkpoints*, an empty list, the run also checkpoints itself:
+        it appends a snapshot of the state it starts from, then one at
+        the first instruction boundary at or past every
+        :data:`CHECKPOINT_EVERY` cycles (see :class:`_Checkpointer`),
+        and *coverage*, a dict, maps each executed EIP to the window in
+        which the run first executed it.  Window *k* runs from
+        checkpoint *k* to checkpoint *k + 1*, so a clone of
+        ``checkpoints[coverage[eip]]`` has not executed *eip* yet and,
+        until it does, runs exactly as this run did.
+        """
         cpu = self.cpu
         status = "watchdog"
         exit_code = None
         detail = ""
+        executed = coverage
+        if checkpoints is not None:
+            checkpointer = _Checkpointer(self, checkpoints, coverage)
+            executed = checkpointer.executed
         try:
-            cpu.run(max_cycles, coverage=coverage)
+            cpu.run(max_cycles, coverage=executed)
         except MachineShutdown as stop:
             status = "shutdown"
             exit_code = stop.code
@@ -343,6 +369,8 @@ class Machine:
         except TripleFault as stop:
             status = "triple_fault"
             detail = str(stop)
+        if checkpoints is not None:
+            checkpointer.close()
         crashes = [CrashRecord(words) for words in self.dump.records]
         return RunResult(
             status=status,
@@ -438,6 +466,14 @@ class MachineSnapshot:
     The disk controller's registers and the TLB are state too: a
     snapshot taken between a driver's SECTOR and CMD writes, or between
     a page-table update and its flush, resumes exactly.
+
+    A *page-delta* snapshot (a checkpoint, see :class:`_Checkpointer`)
+    shares the RAM and disk bytes of a full snapshot of the same
+    machine taken earlier, and holds the state that differs from it in
+    :attr:`pages` and :attr:`sectors`.  It also holds the CPU's decode
+    cache and the page write generations that validate it: a fetch
+    that hits the decode cache skips the TLB fill a miss makes, so a
+    clone resumes exactly only with the decode cache it had.
     """
 
     CPU_FIELDS = ("eip", "cf", "pf", "zf", "sf", "of", "if_flag", "df",
@@ -445,18 +481,40 @@ class MachineSnapshot:
                   "cycles", "timer_interval", "timer_next",
                   "pending_irq", "instret")
 
-    def __init__(self, machine):
+    def __init__(self, machine, base=None, pages=None, sectors=None,
+                 decoded=()):
+        """Freeze *machine*; with *base*, as a page delta against it.
+
+        *pages* (page number -> its 4 KiB) and *sectors* (sector
+        number -> its bytes) are then every RAM page and disk sector in
+        which *machine* differs from *base*, as the caller found them,
+        and *decoded* is the machine's decode cache as a tuple of
+        dicts, oldest first, whose union is the cache.
+        """
         cpu = machine.cpu
         self.kernel = machine.kernel
         self.layout = machine.layout
         bus = machine.bus
         disk = machine.disk
-        self.ram = bytes(bus.ram)
+        if base is None:
+            self.ram = bytes(bus.ram)
+            self.disk = bytes(disk.image)
+        else:
+            self.ram = base.ram
+            self.disk = base.disk
+        #: Overlays on :attr:`ram` and :attr:`disk` (empty unless a
+        #: page delta).
+        self.pages = pages or {}
+        self.sectors = sectors or {}
+        #: The decode cache and page generations a clone resumes with
+        #: (a full snapshot's clone starts with an empty cache).
+        self.decoded = decoded
+        self.versions = (tuple(bus.page_versions) if base is not None
+                         else None)
         self.cr3 = bus.cr3
         self.paging_enabled = bus.paging_enabled
         self.tlb = dict(bus.tlb)
         self.tlb_gen = bus.tlb_gen
-        self.disk = bytes(disk.image)
         self.disk_state = tuple(getattr(disk, name)
                                 for name in DiskDevice.STATE)
         #: sector -> content before its first transfer when the disk
@@ -493,6 +551,11 @@ class MachineSnapshot:
         lay = self.layout
         bus = MemoryBus(lay.RAM_BYTES)
         bus.ram[:] = self.ram
+        for page, data in self.pages.items():
+            at = page << PAGE_SHIFT
+            bus.ram[at:at + PAGE_SIZE] = data
+        if self.versions is not None:
+            bus.page_versions[:] = self.versions
         bus.cr3 = self.cr3
         bus.paging_enabled = self.paging_enabled
         bus.tlb.update(self.tlb)
@@ -501,6 +564,9 @@ class MachineSnapshot:
         machine.console = ConsoleDevice()
         machine.console.buffer[:] = self.console
         machine.disk = DiskDevice(bus, image)
+        size = DiskDevice.SECTOR_SIZE
+        for sector, data in self.sectors.items():
+            machine.disk.image[sector * size:(sector + 1) * size] = data
         for name, value in zip(DiskDevice.STATE, self.disk_state):
             setattr(machine.disk, name, value)
         machine.dump = DumpDevice()
@@ -516,6 +582,8 @@ class MachineSnapshot:
         cpu._recompute_breakpoints()
         for name, value in self.fields.items():
             setattr(cpu, name, value)
+        for entries in self.decoded:
+            cpu._dcache.update(entries)
         machine.cpu = cpu
         machine._page_table_pages = None
         machine.tracer = None
@@ -541,6 +609,116 @@ class MachineSnapshot:
                                  "sector %d" % sector)
             rebased[at:at + size] = self.disk[at:at + size]
         return rebased
+
+
+class _Checkpointer:
+    """The checkpoints of one :meth:`Machine.run` (see there).
+
+    It is the CPU's cycle alarm, which fires at an instruction boundary
+    before a pending interrupt is taken, where a snapshot resumes
+    exactly.  Checkpoint 0 is a full snapshot of the state the run
+    starts from; each later one is a page delta against it.  A page is
+    compared with checkpoint 0 only once its write generation
+    (``bus.page_versions``) has moved, and its bytes are shared with
+    the previous checkpoint while the generation stays put; the disk is
+    compared only after the controller has written to it.
+
+    The run starts with an empty decode cache, as a clone of checkpoint
+    0 does, so it fills the TLB as such a clone would; each checkpoint
+    adds the decode-cache entries made or replaced since the previous
+    one to the tuple it inherits.
+    """
+
+    def __init__(self, machine, checkpoints, coverage):
+        self.machine = machine
+        self.checkpoints = checkpoints
+        self.coverage = coverage
+        #: The CPU's coverage set: EIPs executed in the current window.
+        self.executed = set()
+        self.base = machine.snapshot()
+        checkpoints.append(self.base)
+        self.base_versions = list(machine.bus.page_versions)
+        #: page -> (generation, bytes, or None where equal to the base)
+        self.known = {}
+        self.disk_writes = machine.disk.writes
+        self.sectors = {}
+        machine.cpu._dcache.clear()
+        #: The decode cache as of the last checkpoint, and its parts.
+        self.decoded = {}
+        self.parts = ()
+        self._arm()
+
+    def _arm(self):
+        cpu = self.machine.cpu
+        cpu.alarm_cycle = cpu.cycles + CHECKPOINT_EVERY
+        cpu.on_alarm = self
+
+    def _fold(self):
+        """Credit this window with the EIPs it executed first."""
+        window = len(self.checkpoints) - 1
+        fresh = self.executed.difference(self.coverage)
+        self.coverage.update(dict.fromkeys(fresh, window))
+        self.executed.clear()
+
+    def __call__(self, cpu):
+        self._fold()
+        machine = self.machine
+        ram = machine.bus.ram
+        base_ram = self.base.ram
+        versions = machine.bus.page_versions
+        known = self.known
+        pages = {}
+        for page in compress(count(), map(operator.ne, versions,
+                                          self.base_versions)):
+            entry = known.get(page)
+            if entry is None or entry[0] != versions[page]:
+                at = page << PAGE_SHIFT
+                data = bytes(ram[at:at + PAGE_SIZE])
+                if data == base_ram[at:at + PAGE_SIZE]:
+                    data = None
+                entry = known[page] = (versions[page], data)
+            if entry[1] is not None:
+                pages[page] = entry[1]
+        if machine.disk.writes != self.disk_writes:
+            self.disk_writes = machine.disk.writes
+            self.sectors = self._changed_sectors(machine.disk.image)
+        self.checkpoints.append(MachineSnapshot(
+            machine, base=self.base, pages=pages, sectors=self.sectors,
+            decoded=self._decoded(cpu._dcache)))
+        self._arm()
+
+    def _decoded(self, cache):
+        """The decode cache as parts that later checkpoints share."""
+        if len(cache) < len(self.decoded):
+            # The CPU bounds its cache by clearing it.
+            self.decoded = {}
+            self.parts = ()
+        decoded = self.decoded
+        fresh = {key: entry for key, entry in cache.items()
+                 if decoded.get(key) is not entry}
+        decoded.update(fresh)
+        self.parts += (fresh,)
+        return self.parts
+
+    def _changed_sectors(self, image):
+        size = DiskDevice.SECTOR_SIZE
+        base = self.base.disk
+        previous = self.sectors
+        sectors = {}
+        for at in range(0, len(image), size):
+            if image[at:at + size] != base[at:at + size]:
+                data = bytes(image[at:at + size])
+                sector = at // size
+                if previous.get(sector) == data:
+                    data = previous[sector]
+                sectors[sector] = data
+        return sectors
+
+    def close(self):
+        """Disarm, and credit the last window."""
+        cpu = self.machine.cpu
+        cpu.alarm_cycle = cpu.on_alarm = None
+        self._fold()
 
 
 def shared_boot(kernel, images, window, limit):

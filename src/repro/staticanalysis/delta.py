@@ -749,7 +749,7 @@ def plan_delta(harness, base_kernel, source_journal, campaign_key,
             return None
         finally:
             machine.close()
-        coverage |= harness.golden(workload).coverage
+        coverage.update(harness.golden(workload).coverage)
         names = set()
         for eip in coverage:
             info = harness.kernel.find_function(eip)

@@ -9,6 +9,7 @@ per-process kernel boots without perturbing a single result.
 
 import json
 import os
+import pickle
 import signal
 import time
 
@@ -22,6 +23,7 @@ from repro.injection.fabric import (
     MergeError,
     ShardJournal,
     SnapshotStore,
+    _SNAP_STATE,
     kernel_fingerprint,
     merge_shard_journals,
     plan_shards,
@@ -332,6 +334,14 @@ class TestShardJournalResume:
                       shards[1], path, grade=False)
 
 
+def decode_parts(snapshot):
+    """A snapshot's decode-cache parts, with each decoded instruction
+    named by its address, bytes and handler."""
+    return [{key: (ins.addr, ins.raw, ins.run, stamps)
+             for key, (ins, stamps) in part.items()}
+            for part in snapshot.decoded]
+
+
 class TestSnapshotStore:
     def test_store_round_trip_eliminates_boots(self, kernel, binaries,
                                                profile, tmp_path):
@@ -355,6 +365,41 @@ class TestSnapshotStore:
             assert getattr(thawed.snapshot, name) \
                 == getattr(golden.snapshot, name), name
         assert golden.snapshot.tlb and golden.snapshot.disk_state[1]
+        # every checkpoint and the first-window map thaw as frozen
+        assert len(golden.checkpoints) > 2
+        assert len(set(golden.coverage.values())) > 2
+        assert len(thawed.checkpoints) == len(golden.checkpoints)
+        for ours, frozen in zip(thawed.checkpoints, golden.checkpoints):
+            for name in _SNAP_STATE:
+                if name != "decoded":
+                    assert getattr(ours, name) == getattr(frozen, name), \
+                        name
+            assert decode_parts(ours) == decode_parts(frozen)
+            assert ours.ram is thawed.snapshot.ram
+        assert decode_parts(golden.checkpoints[-1])
+
+    def test_version_2_entry_is_ignored_and_rebooted(self, kernel,
+                                                     binaries, profile,
+                                                     tmp_path):
+        store = SnapshotStore(str(tmp_path / "snapshots"))
+        cold = InjectionHarness(kernel, binaries, profile,
+                                snapshot_store=store)
+        golden = cold.golden("fstime")
+        path = store._path(store.key(kernel, "fstime"))
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+        # the version-2 layout: one post-boot snapshot, coverage a set
+        payload.update(version=2, coverage=sorted(golden.coverage),
+                       snapshot=payload.pop("checkpoints")[0])
+        with open(path, "wb") as fh:
+            pickle.dump(payload, fh)
+        warm = InjectionHarness(kernel, binaries, profile,
+                                snapshot_store=store)
+        run = warm.golden("fstime")
+        assert warm.boots == 1
+        assert store.hits == 0
+        assert run.coverage == golden.coverage
+        assert len(run.checkpoints) == len(golden.checkpoints)
 
     def test_warm_store_results_are_bit_identical(self, kernel,
                                                   binaries, profile,
