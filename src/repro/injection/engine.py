@@ -715,9 +715,15 @@ class CampaignEngine:
             "degraded": False,
         }
         pending = [i for i in range(len(specs)) if i not in completed]
-        # Deterministic up-front workload assignment; also builds each
-        # workload's golden snapshot once in the parent so forked
-        # workers inherit it copy-on-write instead of re-booting it.
+        # Every golden run the plan needs is in the parent before any
+        # worker forks, so the workers inherit them copy-on-write instead
+        # of re-booting them; the missing ones are built on all ``jobs``
+        # cores (InjectionHarness.build_goldens).  Then the deterministic
+        # up-front workload assignment.
+        golden_start = time.perf_counter()
+        meta["goldens_built"] = self.harness.build_goldens(
+            map(self.harness.workload_of, specs), config.jobs)
+        meta["golden_s"] = time.perf_counter() - golden_start
         for spec in specs:
             self.harness.assign_workload(spec)
         results = dict(completed)

@@ -49,7 +49,6 @@ import signal
 import time
 import traceback
 
-from repro.cpu.translate import code_cache
 from repro.injection.engine import (
     CampaignEngine,
     CampaignJournal,
@@ -396,6 +395,11 @@ class SnapshotStore:
     def _path(self, key, suffix=".golden"):
         return os.path.join(self.root, key + suffix)
 
+    def __contains__(self, key):
+        """Whether an entry is stored under *key* (it may still fail
+        to load)."""
+        return os.path.exists(self._path(key))
+
     # -- golden bundles -----------------------------------------------------
 
     def load(self, key, kernel):
@@ -500,6 +504,9 @@ def _thaw_golden(payload, kernel):
         for name in _SNAP_STATE:
             setattr(snap, name, state[name])
         checkpoints.append(snap)
+    cache = getattr(kernel, "_code_cache", None)
+    if cache is not None:
+        _intern_decoded(checkpoints, cache.decoded)
     fields = payload["result"]
     result = RunResult(fields["status"], fields["exit_code"],
                        fields["console"], None, fields["cycles"],
@@ -508,6 +515,29 @@ def _thaw_golden(payload, kernel):
     return GoldenRun(payload["workload"], result, payload["coverage"],
                      payload["disk_image"], payload["boot_cycles"],
                      checkpoints)
+
+
+def _intern_decoded(checkpoints, memo):
+    """Share thawed decodes with the kernel's decode memo.
+
+    *memo* is ``CodeCache.decoded``, ``(eip, user) -> Instr``.  A
+    thawed decode-cache entry takes the memo's instruction where that
+    was decoded from the same bytes, and otherwise becomes the memo's
+    entry for its address, as a fresh decode would.  A decoded
+    instruction depends on its address and bytes alone, so either
+    object runs the same.  User text is keyed by TLB generation and
+    address in the decode cache, kernel text by address alone.
+    """
+    parts = {id(part): part for snap in checkpoints
+             for part in snap.decoded}
+    for part in parts.values():
+        for key, (ins, stamps) in part.items():
+            slot = (ins.addr, isinstance(key, tuple))
+            known = memo.get(slot)
+            if known is None or known.raw != ins.raw:
+                memo[slot] = ins
+            elif known is not ins:
+                part[key] = (known, stamps)
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +749,18 @@ class FabricCoordinator:
                                    byte_stride)
         shards = plan_shards(plan_fp, len(specs), shard_count)
         tasks = {s.index: _ShardTask(s, workdir) for s in shards}
-        # Warm the golden runs once in the parent: forked workers
-        # inherit the booted snapshots copy-on-write, and a shared
-        # snapshot store is populated for out-of-process shards.
+        # Every golden run is in the parent before the pool forks, so
+        # the workers inherit them copy-on-write, and a shared snapshot
+        # store is populated for out-of-process shards.  A cold store's
+        # missing runs are built on the pool's cores
+        # (InjectionHarness.build_goldens); a translating harness also
+        # builds the kernel's code cache there, once for every fork.
+        golden_start = time.perf_counter()
+        goldens_built = self.harness.build_goldens(
+            map(self.harness.workload_of, specs), config.pool)
+        golden_s = time.perf_counter() - golden_start
         for spec in specs:
             self.harness.assign_workload(spec)
-        for workload in sorted({s.workload for s in specs
-                                if s.workload}):
-            self.harness.golden(workload)
-        if self.harness.translate:
-            # Thawed goldens build no translating machine here, so
-            # build the kernel's code cache (its CFG leader sweep) once
-            # for the forks to inherit, instead of once per shard.
-            code_cache(self.harness.kernel)
         meta = {
             "mode": "fabric",
             "shards": shard_count,
@@ -746,6 +775,8 @@ class FabricCoordinator:
             "degraded": False,
             "replayed_records": 0,
             "serial_completions": 0,
+            "goldens_built": goldens_built,
+            "golden_s": golden_s,
         }
         self._choose_chaos_victims(shards, tasks, meta)
         if config.pool > 1 and fork_available() and shards:

@@ -11,12 +11,18 @@ run's last checkpoint before its trigger first executed, not from boot.
 """
 
 import json
+import os
+import pickle
+import tempfile
+from collections import Counter
 
+from repro.cpu.translate import code_cache
 from repro.injection.campaigns import plan_campaign, select_targets
 from repro.injection.engine import (
     CampaignEngine,
     EngineConfig,
     atomic_write_json,
+    fork_available,
     plan_fingerprint,
 )
 from repro.injection.outcomes import (
@@ -186,9 +192,11 @@ class InjectionHarness:
         #: harness process.  Traced harnesses bypass the store (live
         #: trace objects are not serialized).
         self.snapshot_store = snapshot_store
-        #: Real (non-store) kernel boots this harness has performed.
+        #: Real (non-store) kernel boots this harness has performed,
+        #: counting those of the golden runs its builders delivered.
         self.boots = 0
         self._golden = {}
+        self._builders = {}             # workload -> _GoldenBuilder
         self._workload_rank = {}
         self._golden_critical = None
         self._crash_overhead = None
@@ -205,55 +213,134 @@ class InjectionHarness:
                                 disk_retries=self.disk_retries)
 
     def golden(self, workload):
+        """The golden run of *workload*: built once per harness, or
+        thawed from the snapshot store or from a golden builder (see
+        :meth:`build_goldens`)."""
         run = self._golden.get(workload)
+        if run is not None:
+            return run
+        if self.translate:
+            # Before any thaw, so that thawed decodes join the kernel's
+            # decode memo; a translated boot would build it anyway.
+            code_cache(self.kernel)
+        store, key = self._store_key(workload)
+        builder = self._builders.pop(workload, None)
+        stored = False
+        if builder is not None:
+            run = builder.take(workload, self.kernel)
+            if run is not None:
+                self.boots += 1         # booted once, in the builder
+        elif store is not None:
+            run = store.load(key, self.kernel)
+            stored = run is not None
         if run is None:
-            store, key = self._store_key(workload)
-            if store is not None:
-                run = store.load(key, self.kernel)
-                if run is not None:
-                    # Execution mode is not part of the store key
-                    # (translated results are bit-identical); stamp the
-                    # thawed checkpoints so clones run in this harness's
-                    # mode regardless of who froze them.
-                    for checkpoint in run.checkpoints:
-                        checkpoint.translate = self.translate
-                    self._golden[workload] = run
-                    return run
-            disk = build_standard_disk(self.binaries, workload)
-            machine = self.boot_machine(disk)
-            if self.recovery:
-                # Arm the ladder pre-boot so the post-boot snapshot
-                # (and every per-experiment clone) inherits it.
-                machine.enable_recovery()
-            if self.disk_retries:
-                # Same pre-boot patching: the retry budget lives in a
-                # kernel global, so clones inherit it through RAM.
-                machine.enable_disk_retry(self.disk_retries)
-            machine.run_until_console(BOOT_MARKER,
-                                      max_cycles=10_000_000)
-            boot_cycles = machine.cpu.cycles
-            if self.trace:
-                # Enabled at the post-boot state that checkpoint 0
-                # freezes, so the golden trace and every
-                # per-experiment clone's trace start from the same
-                # machine state and align stamp-for-stamp.
-                machine.enable_trace(channels=self.trace_channels,
-                                     capacity=self.trace_capacity)
-            coverage = {}
-            checkpoints = []
-            result = machine.run(max_cycles=120_000_000,
-                                 coverage=coverage,
-                                 checkpoints=checkpoints)
-            machine.close()
-            if result.status != "shutdown" or result.exit_code != 0:
-                raise RuntimeError("golden run of %r failed: %r"
-                                   % (workload, result))
-            run = GoldenRun(workload, result, coverage, disk,
-                            boot_cycles, checkpoints)
-            self._golden[workload] = run
-            if store is not None:
-                store.save(key, run)
+            run = self._run_golden(workload)
+        else:
+            # Execution mode is not part of a frozen golden run
+            # (translated results are bit-identical); stamp the thawed
+            # checkpoints so clones run in this harness's mode
+            # regardless of who froze them.
+            for checkpoint in run.checkpoints:
+                checkpoint.translate = self.translate
+        self._golden[workload] = run
+        if store is not None and not stored:
+            store.save(key, run)
         return run
+
+    def _run_golden(self, workload):
+        """Boot *workload* and run it once, checkpointed, in-process."""
+        disk = build_standard_disk(self.binaries, workload)
+        machine = self.boot_machine(disk)
+        if self.recovery:
+            # Arm the ladder pre-boot so the post-boot snapshot
+            # (and every per-experiment clone) inherits it.
+            machine.enable_recovery()
+        if self.disk_retries:
+            # Same pre-boot patching: the retry budget lives in a
+            # kernel global, so clones inherit it through RAM.
+            machine.enable_disk_retry(self.disk_retries)
+        machine.run_until_console(BOOT_MARKER, max_cycles=10_000_000)
+        boot_cycles = machine.cpu.cycles
+        if self.trace:
+            # Enabled at the post-boot state that checkpoint 0
+            # freezes, so the golden trace and every per-experiment
+            # clone's trace start from the same machine state and
+            # align stamp-for-stamp.
+            machine.enable_trace(channels=self.trace_channels,
+                                 capacity=self.trace_capacity)
+        coverage = {}
+        checkpoints = []
+        result = machine.run(max_cycles=120_000_000, coverage=coverage,
+                             checkpoints=checkpoints)
+        machine.close()
+        if result.status != "shutdown" or result.exit_code != 0:
+            raise RuntimeError("golden run of %r failed: %r"
+                               % (workload, result))
+        return GoldenRun(workload, result, coverage, disk, boot_cycles,
+                         checkpoints)
+
+    def build_goldens(self, workloads, workers=1):
+        """Make sure this harness holds the golden run of every workload
+        in *workloads*, on up to *workers* cores; returns how many golden
+        runs it built.
+
+        The runs neither held nor in the snapshot store are packed into
+        up to *workers* bins, the longest-running first, costed by each
+        guest's kernel samples in the profile.  This process builds the
+        first bin itself, so the code cache the campaign's workers
+        inherit is as warm as a serial build leaves it for that bin, and
+        a forked :class:`_GoldenBuilder` builds each other bin.  A
+        builder that fails hands back nothing and this process builds
+        its bin as well, so a failing golden run raises here as it
+        would serially.  Traced harnesses, a single missing run and
+        hosts without fork build everything in-process: a traced golden
+        result carries a live trace that a frozen run drops.
+        """
+        before = self.boots
+        needed = list(dict.fromkeys(workloads))
+        missing = [w for w in needed if not self._holds_golden(w)]
+        own = []
+        if workers > 1 and len(missing) > 1 and not self.trace \
+                and fork_available():
+            bins = self._golden_bins(missing, workers)
+            own = bins[0]
+            for workloads_of_builder in bins[1:]:
+                builder = _GoldenBuilder(self, workloads_of_builder)
+                self._builders.update(
+                    dict.fromkeys(workloads_of_builder, builder))
+        try:
+            # Own bin first; a builder's runs are taken (waited for)
+            # after.
+            for workload in own + [w for w in needed if w not in own]:
+                self.golden(workload)
+        finally:
+            # Left only when a golden run raised.
+            for builder in set(self._builders.values()):
+                builder.discard()
+            self._builders.clear()
+        # Every golden run built, here or in a builder, is one boot.
+        return self.boots - before
+
+    def _holds_golden(self, workload):
+        """Whether :meth:`golden` would find *workload*'s run built."""
+        if workload in self._golden:
+            return True
+        store, key = self._store_key(workload)
+        return store is not None and key in store
+
+    def _golden_bins(self, workloads, count):
+        """*workloads* in at most *count* bins: longest first, each into
+        the bin with the least estimated cost so far."""
+        cost = Counter()
+        for function in self.profile.functions.values():
+            cost.update(function.per_workload)
+        bins = [[] for _ in range(min(count, len(workloads)))]
+        loads = [0] * len(bins)
+        for workload in sorted(workloads, key=lambda w: (-cost[w], w)):
+            lightest = loads.index(min(loads))
+            bins[lightest].append(workload)
+            loads[lightest] += cost[workload]
+        return bins
 
     def boot_machine(self, disk_image):
         """A fresh machine about to boot *disk_image* from reset.
@@ -297,9 +384,13 @@ class InjectionHarness:
         activation — like the paper, a function being hot does not mean
         every path through it runs.
         """
-        workload = self.workload_priority(spec.function)[0]
+        workload = self.workload_of(spec)
         spec.workload = workload
         return spec.instr_addr in self.golden(workload).coverage
+
+    def workload_of(self, spec):
+        """The workload that drives *spec* (see :meth:`assign_workload`)."""
+        return self.workload_priority(spec.function)[0]
 
     # -- latency calibration -------------------------------------------------------
 
@@ -710,3 +801,81 @@ class InjectionHarness:
         if max_specs is not None:
             specs = specs[:max_specs]
         return functions, specs
+
+
+class _GoldenBuilder:
+    """A forked process building golden runs for its parent.
+
+    It writes its runs, frozen as the snapshot store freezes them, to a
+    file and exits; the parent joins it and thaws them only once it has
+    built its own, so reading them never competes with its own golden
+    runs for the interpreter.  The file also carries the translation
+    heat the builder's boots added, which the parent adds to its own:
+    the workers it forks then find the same heads hot as after a serial
+    build.  The builder does not use the snapshot store: the parent
+    saves what it takes, and counts it there.
+    """
+
+    def __init__(self, harness, workloads):
+        import multiprocessing
+        fd, self.path = tempfile.mkstemp(prefix="goldens-",
+                                         suffix=".pickle")
+        os.close(fd)
+        self.process = multiprocessing.get_context("fork").Process(
+            target=_golden_builder_main,
+            args=(harness, workloads, self.path))
+        self.process.start()
+        self.frozen = None
+
+    def take(self, workload, kernel):
+        """The builder's golden run of *workload* thawed for *kernel*,
+        or ``None`` when the builder failed."""
+        from repro.injection.fabric import _thaw_golden
+        if self.frozen is None:
+            self.process.join()
+            shipped = {"goldens": {}, "heat": {}}
+            try:
+                if self.process.exitcode == 0:
+                    with open(self.path, "rb") as fh:
+                        shipped = pickle.load(fh)
+            except (OSError, EOFError, pickle.UnpicklingError):
+                pass
+            finally:
+                os.unlink(self.path)
+            self.frozen = shipped["goldens"]
+            if shipped["heat"]:
+                heat = code_cache(kernel).heat
+                for key, count in shipped["heat"].items():
+                    heat[key] = heat.get(key, 0) + count
+        payload = self.frozen.pop(workload, None)
+        return None if payload is None else _thaw_golden(payload, kernel)
+
+    def discard(self):
+        """Stop a builder whose runs will not be taken."""
+        if self.frozen is None:
+            self.process.terminate()
+            self.process.join()
+            os.unlink(self.path)
+            self.frozen = {}
+
+
+def _golden_builder_main(harness, workloads, path):
+    """A golden builder's body: build *workloads* in-process, then ship
+    them with the heat their boots added."""
+    from repro.injection.fabric import _freeze_golden
+    harness.snapshot_store = None
+    harness._builders = {}
+    heat = code_cache(harness.kernel).heat if harness.translate else {}
+    before = dict(heat)
+    frozen = {workload: _freeze_golden(harness.golden(workload))
+              for workload in workloads}
+    added = {key: count - before.get(key, 0)
+             for key, count in heat.items()
+             if count > before.get(key, 0)}
+    _ship_goldens({"goldens": frozen, "heat": added}, path)
+
+
+def _ship_goldens(shipped, path):
+    """Write what a builder hands its parent."""
+    with open(path, "wb") as fh:
+        pickle.dump(shipped, fh, protocol=pickle.HIGHEST_PROTOCOL)

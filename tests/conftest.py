@@ -47,3 +47,17 @@ def interpreted_harness(kernel, binaries, profile):
 def retry_harness(kernel, binaries, profile):
     from repro.injection.runner import InjectionHarness
     return InjectionHarness(kernel, binaries, profile, disk_retries=2)
+
+
+@pytest.fixture
+def fresh_harness(kernel, binaries, profile):
+    """A factory of harnesses that hold no golden runs yet, so a test
+    sees them built; keyword arguments go to ``InjectionHarness``
+    (``binaries`` among them)."""
+    from repro.injection.runner import InjectionHarness
+
+    def make(**kwargs):
+        args = {"kernel": kernel, "binaries": binaries, "profile": profile}
+        args.update(kwargs)
+        return InjectionHarness(**args)
+    return make

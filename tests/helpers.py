@@ -1,9 +1,11 @@
-"""Test helpers: run raw machine code, or user programs under the kernel."""
+"""Test helpers: run raw machine code, or user programs under the kernel,
+and compare golden runs."""
 
 from repro.cpu.cpu import CPU
 from repro.cpu.devices import ConsoleDevice, MachineShutdown, \
     ShutdownDevice
 from repro.cpu.memory import MemoryBus
+from repro.injection.fabric import _RESULT_STATE, _SNAP_STATE
 from repro.isa.assembler import assemble
 from repro.machine.machine import Machine, build_standard_disk
 from repro.userland.build import build_program
@@ -98,3 +100,31 @@ int begin() {
     return 0;
 }
 """
+
+
+def decode_parts(snapshot):
+    """A snapshot's decode-cache parts, with each decoded instruction
+    named by its address, bytes and handler."""
+    return [{key: (ins.addr, ins.raw, ins.run, stamps)
+             for key, (ins, stamps) in part.items()}
+            for part in snapshot.decoded]
+
+
+def assert_same_golden(ours, theirs):
+    """Golden run *ours* equals *theirs* field by field: the result, the
+    coverage map and every checkpoint's state, decode-cache parts
+    included, with the checkpoints sharing checkpoint 0's RAM."""
+    assert ours.console == theirs.console
+    assert ours.cycles == theirs.cycles
+    assert ours.coverage == theirs.coverage
+    assert ours.boot_cycles == theirs.boot_cycles
+    for name in _RESULT_STATE:
+        assert getattr(ours.result, name) == getattr(theirs.result, name), \
+            name
+    assert len(ours.checkpoints) == len(theirs.checkpoints)
+    for mine, other in zip(ours.checkpoints, theirs.checkpoints):
+        for name in _SNAP_STATE:
+            if name != "decoded":
+                assert getattr(mine, name) == getattr(other, name), name
+        assert decode_parts(mine) == decode_parts(other)
+        assert mine.ram is ours.snapshot.ram
