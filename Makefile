@@ -20,9 +20,11 @@ lint-kernel:
 
 # What .github/workflows/ci.yml runs: lint (when available) + the
 # kernel-image linter + tier-1 + the campaign benchmark's own tests
-# (incl. a --smoke run checked against the pinned digests) + the smoke
-# studies.  The smoke benches write under the git-ignored results/, so
-# the committed BENCH_*.json records stay as their full runs left them.
+# (incl. a --smoke run checked against the pinned digests) + a traced
+# --smoke run whose result line must be strict JSON with every declared
+# per-layer metric finite + the smoke studies.  The smoke benches write
+# under the git-ignored results/, so the committed BENCH_*.json records
+# stay as their full runs left them.
 ci:
 	@if $(PY) -m flake8 --version >/dev/null 2>&1; then \
 		$(PY) -m flake8 src tests; \
@@ -38,6 +40,10 @@ ci:
 		PYTHONPATH=src $(PY) -m pytest -x -q; \
 	fi
 	PYTHONPATH=src $(PY) -m pytest benchmarks/campaign -q
+	@mkdir -p results
+	$(PY) benchmarks/campaign/run.py --smoke --trace 1 \
+		| tee results/bench_trace.smoke.txt
+	$(PY) scripts/check_trace_line.py results/bench_trace.smoke.txt
 	PYTHONPATH=src $(PY) -m repro.experiments.recovery_study --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.static_validation --smoke
 	PYTHONPATH=src $(PY) -m repro.experiments.static_propagation --smoke

@@ -5,6 +5,7 @@ import os
 import sys
 import time
 
+from repro.injection.faultmodels import CAMPAIGN_KEYS, KIND_OF_KEY
 from repro.injection.runner import CampaignResults, InjectionHarness
 from repro.kernel.build import build_kernel
 from repro.profiling.sampler import profile_kernel
@@ -36,6 +37,17 @@ FAULT_SCALES = {
 DEFAULT_DISK_RETRIES = 2
 
 
+#: Harness keyword arguments per variant: the fail-stop default, the
+#: recovery kernel, the flight recorder, and the IDE retry path (the
+#: middle rung of the graceful-degradation ablation).
+_VARIANTS = {
+    "": {},
+    "recovery": {"recovery": True},
+    "traced": {"trace": True},
+    "retry": {"disk_retries": DEFAULT_DISK_RETRIES},
+}
+
+
 class ExperimentContext:
     """Builds and caches everything the experiments share."""
 
@@ -53,16 +65,8 @@ class ExperimentContext:
         self._kernel = None
         self._binaries = None
         self._profile = None
-        self._harness = None
-        self._recovery_harness = None
-        self._traced_harness = None
-        self._retry_harness = None
-        self._campaigns = {}
-        self._recovery_campaigns = {}
-        self._traced_campaigns = {}
-        self._fault_campaigns = {}
-        self._delta_campaigns = {}
-        self._snapshot_store = None
+        self._harnesses = {}        # variant -> InjectionHarness
+        self._campaigns = {}        # (key, variant) -> CampaignResults
 
     # -- lazily built shared state ------------------------------------------
 
@@ -89,106 +93,19 @@ class ExperimentContext:
 
     @property
     def harness(self):
-        if self._harness is None:
-            self._harness = InjectionHarness(self.kernel, self.binaries,
-                                             self.profile)
-        return self._harness
+        return self._harness("")
 
-    @property
-    def recovery_harness(self):
-        """Harness whose runs boot the recovery-enabled kernel."""
-        if self._recovery_harness is None:
-            self._recovery_harness = InjectionHarness(
-                self.kernel, self.binaries, self.profile, recovery=True)
-        return self._recovery_harness
-
-    @property
-    def traced_harness(self):
-        """Harness whose runs carry the execution flight recorder."""
-        if self._traced_harness is None:
-            self._traced_harness = InjectionHarness(
-                self.kernel, self.binaries, self.profile, trace=True)
-        return self._traced_harness
-
-    @property
-    def retry_harness(self):
-        """Harness whose kernels boot with the IDE retry path armed.
-
-        The middle rung of the graceful-degradation ablation: same
-        fail-stop oops handling as :attr:`harness`, but a failed disk
-        transfer is retried with backoff before ``-EIO`` propagates.
-        """
-        if self._retry_harness is None:
-            self._retry_harness = InjectionHarness(
+    def _harness(self, variant):
+        """The harness of *variant* (a :data:`_VARIANTS` key)."""
+        if variant not in self._harnesses:
+            self._harnesses[variant] = InjectionHarness(
                 self.kernel, self.binaries, self.profile,
-                disk_retries=DEFAULT_DISK_RETRIES)
-        return self._retry_harness
-
-    @property
-    def snapshot_store(self):
-        """Shared boot-snapshot store (``<results_dir>/snapshots``).
-
-        ``None`` without a results directory — the store is an on-disk
-        cache, and a context with nowhere to persist results has
-        nowhere to persist snapshots either.
-        """
-        if self._snapshot_store is None and self.results_dir is not None:
-            from repro.injection.fabric import SnapshotStore
-            self._snapshot_store = SnapshotStore(
-                os.path.join(self.results_dir, "snapshots"))
-        return self._snapshot_store
+                **_VARIANTS[variant])
+        return self._harnesses[variant]
 
     def campaign(self, key):
         """Results for campaign *key* at this context's scale (cached)."""
         return self._campaign(key)
-
-    def sharded_campaign(self, key, shards=3, pool=None, chaos=0):
-        """Campaign *key* executed through the fabric (cached).
-
-        Same plan (seed, stride, cap) as :meth:`campaign`, split into
-        *shards* content-addressed shards and dispatched to a local
-        pool by :class:`~repro.injection.fabric.FabricCoordinator`;
-        by the merge-equivalence property the results are bit-identical
-        to :meth:`campaign`'s, so the cache is shared with the plain
-        variant.  *chaos* > 0 SIGKILLs that many shard workers mid-run
-        (they are retried and their journals resumed).
-        """
-        cache = self._cache_for("")
-        if key in cache:
-            return cache[key]
-        cached = self._load_cached(key, "")
-        if cached is not None:
-            cache[key] = cached
-            return cached
-        from repro.injection.fabric import (
-            FabricConfig,
-            FabricCoordinator,
-        )
-        import tempfile
-        stride, max_specs = SCALES[self.scale][key]
-        self._log("running campaign %s [fabric %d shards] (stride %d)..."
-                  % (key, shards, stride))
-        start = time.time()
-        config = FabricConfig(pool=pool or max(2, self.jobs),
-                              chaos_kills=chaos, chaos_seed=self.seed)
-        harness = InjectionHarness(self.kernel, self.binaries,
-                                   self.profile,
-                                   snapshot_store=self.snapshot_store)
-        coordinator = FabricCoordinator(harness, config)
-        if self.results_dir is not None:
-            workdir = os.path.join(self.results_dir,
-                                   "fabric_%s_%s_seed%d"
-                                   % (key, self.scale, self.seed))
-        else:
-            workdir = tempfile.mkdtemp(prefix="fabric_%s_" % key)
-        results = coordinator.run_campaign(
-            key, seed=self.seed, byte_stride=stride,
-            max_specs=max_specs, shard_count=shards, workdir=workdir)
-        self._log("campaign %s [fabric]: %d injections in %.1fs"
-                  % (key, len(results), time.time() - start))
-        cache[key] = results
-        self._store_cached(key, results, "")
-        return results
 
     def recovery_campaign(self, key):
         """Campaign *key* re-run under the recovery kernel (cached).
@@ -218,119 +135,41 @@ class ExperimentContext:
         continue kernel).  The plan is identical across variants, so
         the three outcome distributions are directly comparable.
         """
-        cache_key = (kind, variant)
-        if cache_key not in self._fault_campaigns:
-            from repro.injection.faultmodels import \
-                run_fault_model_campaign
-            name = "F" + kind
-            cached = self._load_cached(name, variant)
-            if cached is not None:
-                self._fault_campaigns[cache_key] = cached
-                return cached
-            max_specs = FAULT_SCALES[self.scale]
-            mode = " [%s]" % variant if variant else ""
-            self._log("running fault-model campaign %s%s (jobs %d)..."
-                      % (kind, mode, self.jobs))
-            start = time.time()
-            progress = self._progress if self.verbose else None
-            results = run_fault_model_campaign(
-                self._harness_for(variant), kind, seed=self.seed,
-                max_specs=max_specs, progress=progress, jobs=self.jobs,
-                journal_path=self._journal_path(name, variant),
-                resume=self.resume)
-            self._log("fault-model campaign %s%s: %d injections in %.1fs"
-                      % (kind, mode, len(results), time.time() - start))
-            self._fault_campaigns[cache_key] = results
-            self._store_cached(name, results, variant)
-        return self._fault_campaigns[cache_key]
-
-    def delta_campaign(self, key, source_edits):
-        """Campaign *key* re-planned incrementally after a source edit.
-
-        Runs (or loads) the base campaign on :attr:`kernel`, rebuilds
-        the kernel with *source_edits* applied, and executes only the
-        injection sites the static differ cannot prove unchanged
-        (:mod:`repro.staticanalysis.delta`); every other record is
-        carried forward from the base campaign's journal.  When the
-        base run kept no journal (in-memory or JSON-cached results),
-        one is materialized first.  ``results.meta["delta"]`` holds
-        the re-run fraction, the per-reason live counts and the
-        carry-forward provenance.
-        """
-        edits = tuple(tuple(edit) for edit in source_edits)
-        cache_key = (key, edits)
-        if cache_key not in self._delta_campaigns:
-            import tempfile
-            from repro.staticanalysis.delta import write_results_journal
-            base = self.campaign(key)
-            journal = self._journal_path(key)
-            if journal is None or not os.path.exists(journal):
-                journal = os.path.join(
-                    tempfile.mkdtemp(prefix="delta_source_"),
-                    "campaign_%s.journal.jsonl" % key)
-                write_results_journal(base, journal)
-            stride, max_specs = SCALES[self.scale][key]
-            self._log("rebuilding kernel with %d source edit(s)..."
-                      % len(edits))
-            new_kernel = build_kernel(source_edits=edits)
-            harness = InjectionHarness(new_kernel, self.binaries,
-                                       self.profile)
-            self._log("running delta campaign %s (stride %d)..."
-                      % (key, stride))
-            start = time.time()
-            results = harness.run_campaign(
-                key, seed=self.seed, byte_stride=stride,
-                max_specs=max_specs, jobs=self.jobs,
-                delta_from=journal, delta_base_kernel=self.kernel)
-            delta = results.meta["delta"]
-            self._log("delta campaign %s: %d carried, %d live "
-                      "(fraction %.4f) in %.1fs"
-                      % (key, delta["carried"], delta["live"],
-                         delta["rerun_fraction"], time.time() - start))
-            self._delta_campaigns[cache_key] = results
-        return self._delta_campaigns[cache_key]
-
-    def _harness_for(self, variant):
-        if variant == "recovery":
-            return self.recovery_harness
-        if variant == "traced":
-            return self.traced_harness
-        if variant == "retry":
-            return self.retry_harness
-        return self.harness
-
-    def _cache_for(self, variant):
-        if variant == "recovery":
-            return self._recovery_campaigns
-        if variant == "traced":
-            return self._traced_campaigns
-        return self._campaigns
+        return self._campaign(CAMPAIGN_KEYS[kind], variant=variant)
 
     def _campaign(self, key, variant=""):
-        cache = self._cache_for(variant)
-        if key not in cache:
-            cached = self._load_cached(key, variant)
+        """Campaign *key* on the *variant* harness: loaded from its
+        cache file, or run (journaled next to it) and saved there.
+        A/B/C are sized by :data:`SCALES`, fault-model keys by
+        :data:`FAULT_SCALES` and cached as ``F<kind>``."""
+        cache_key = (key, variant)
+        if cache_key not in self._campaigns:
+            if key in KIND_OF_KEY:
+                name = "F" + KIND_OF_KEY[key]
+                stride, max_specs = 1, FAULT_SCALES[self.scale]
+            else:
+                name = key
+                stride, max_specs = SCALES[self.scale][key]
+            cached = self._load_cached(name, variant)
             if cached is not None:
-                cache[key] = cached
+                self._campaigns[cache_key] = cached
                 return cached
-            stride, max_specs = SCALES[self.scale][key]
             mode = " [%s]" % variant if variant else ""
             self._log("running campaign %s%s (stride %d, jobs %d)..."
-                      % (key, mode, stride, self.jobs))
+                      % (name, mode, stride, self.jobs))
             start = time.time()
             progress = self._progress if self.verbose else None
-            harness = self._harness_for(variant)
-            results = harness.run_campaign(
+            results = self._harness(variant).run_campaign(
                 key, seed=self.seed, byte_stride=stride,
                 max_specs=max_specs, progress=progress,
                 jobs=self.jobs,
-                journal_path=self._journal_path(key, variant),
+                journal_path=self._journal_path(name, variant),
                 resume=self.resume)
             self._log("campaign %s%s: %d injections in %.1fs"
-                      % (key, mode, len(results), time.time() - start))
-            cache[key] = results
-            self._store_cached(key, results, variant)
-        return cache[key]
+                      % (name, mode, len(results), time.time() - start))
+            self._campaigns[cache_key] = results
+            self._store_cached(name, results, variant)
+        return self._campaigns[cache_key]
 
     def all_campaigns(self):
         return {key: self.campaign(key) for key in ("A", "B", "C")}

@@ -32,7 +32,7 @@ from repro.experiments.recovery_study import (
     baseline_downtime,
     recovered_downtime,
 )
-from repro.injection.faultmodels import run_fault_model_campaign
+from repro.injection.faultmodels import CAMPAIGN_KEYS
 from repro.injection.outcomes import (
     CRASH_HANG_OUTCOMES,
     CRASH_RECOVERED,
@@ -171,19 +171,18 @@ def smoke(ctx, kinds=DEFAULT_KINDS, max_specs=6, tmp_dir=None):
 
     failures = []
     tmp_dir = tmp_dir or tempfile.mkdtemp(prefix="fault_smoke_")
-    harness = ctx.harness
     for kind in kinds:
-        serial = run_fault_model_campaign(harness, kind, seed=ctx.seed,
-                                          max_specs=max_specs,
-                                          grade=False)
+        def run(**kwargs):
+            return ctx.harness.run_campaign(
+                CAMPAIGN_KEYS[kind], seed=ctx.seed, max_specs=max_specs,
+                grade=False, **kwargs)
+
+        serial = run()
         activated = sum(1 for r in serial.results if r.activated)
         if activated == 0:
             failures.append("%s: no activated result in %d specs"
                             % (kind, len(serial)))
-        parallel = run_fault_model_campaign(harness, kind,
-                                            seed=ctx.seed,
-                                            max_specs=max_specs,
-                                            grade=False, jobs=2)
+        parallel = run(jobs=2)
         if _dicts(parallel) != _dicts(serial):
             failures.append("%s: parallel != serial" % kind)
         journal_path = os.path.join(tmp_dir, "%s.jsonl" % kind)
@@ -194,18 +193,10 @@ def smoke(ctx, kinds=DEFAULT_KINDS, max_specs=6, tmp_dir=None):
                 raise KeyboardInterrupt
 
         try:
-            run_fault_model_campaign(harness, kind, seed=ctx.seed,
-                                     max_specs=max_specs, grade=False,
-                                     journal_path=journal_path,
-                                     progress=interrupt)
+            run(journal_path=journal_path, progress=interrupt)
         except KeyboardInterrupt:
             pass
-        resumed = run_fault_model_campaign(harness, kind,
-                                           seed=ctx.seed,
-                                           max_specs=max_specs,
-                                           grade=False,
-                                           journal_path=journal_path,
-                                           resume=True)
+        resumed = run(journal_path=journal_path, resume=True)
         if resumed.meta["engine"]["resumed_results"] == 0:
             failures.append("%s: resume replayed nothing" % kind)
         if _dicts(resumed) != _dicts(serial):

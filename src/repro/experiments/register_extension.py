@@ -10,7 +10,6 @@ from collections import Counter
 
 from repro.analysis.charts import ascii_pie
 from repro.analysis.stats import crash_cause_distribution, outcome_pie
-from repro.injection.register_campaign import run_register_campaign
 
 #: per-scale cap keeps the extension proportional to the main campaigns
 _SPEC_CAP = {"tiny": 60, "quick": 150, "standard": 400, "full": None}
@@ -18,7 +17,7 @@ _SPEC_CAP = {"tiny": 60, "quick": 150, "standard": 400, "full": None}
 
 def run(ctx):
     cap = _SPEC_CAP.get(ctx.scale, 150)
-    results = run_register_campaign(ctx.harness, max_specs=cap)
+    results = ctx.harness.run_campaign("R", max_specs=cap).results
     lines = ["Extension campaign R: direct register corruption "
              "(%d experiments)" % len(results)]
     pie = outcome_pie(results)

@@ -34,7 +34,6 @@ from repro.injection.runner import CampaignResults, GoldenRun, \
 from repro.injection.register_campaign import (
     RegisterInjectionSpec,
     plan_register_campaign,
-    run_register_campaign,
 )
 from repro.injection.severity import SEVERITY_DOWNTIME, grade_severity
 
@@ -62,5 +61,4 @@ __all__ = [
     "grade_severity",
     "RegisterInjectionSpec",
     "plan_register_campaign",
-    "run_register_campaign",
 ]

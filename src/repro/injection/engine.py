@@ -715,20 +715,24 @@ class CampaignEngine:
             "degraded": False,
         }
         pending = [i for i in range(len(specs)) if i not in completed]
+        forking = config.jobs > 1 and pending and fork_available()
         # Every golden run the plan needs is in the parent before any
         # worker forks, so the workers inherit them copy-on-write instead
         # of re-booting them; the missing ones are built on all ``jobs``
-        # cores (InjectionHarness.build_goldens).  Then the deterministic
-        # up-front workload assignment.
+        # cores (InjectionHarness.build_goldens).  So is the crash-latency
+        # calibration, which a serial run makes only at its first crash.
+        # Then the deterministic up-front workload assignment.
         golden_start = time.perf_counter()
         meta["goldens_built"] = self.harness.build_goldens(
             map(self.harness.workload_of, specs), config.jobs)
         meta["golden_s"] = time.perf_counter() - golden_start
+        if forking:
+            self.harness.crash_overhead()
         for spec in specs:
             self.harness.assign_workload(spec)
         results = dict(completed)
         try:
-            if config.jobs > 1 and pending and fork_available():
+            if forking:
                 _SpecPool(self, specs, grade, seed, results, journal,
                           progress, meta).run(pending)
             else:

@@ -711,13 +711,15 @@ class FabricCoordinator:
                      shard_count=3, workdir=None, functions=None,
                      max_per_function=None, max_specs=None, grade=True,
                      static_verdicts=False):
-        """Plan a campaign and run it sharded; returns CampaignResults.
+        """Plan a campaign of any kind and run it sharded; returns
+        CampaignResults.
 
         The drop-in fabric counterpart of
         :meth:`~repro.injection.runner.InjectionHarness.run_campaign`:
         identical planning, bit-identical results, different execution
         telemetry under ``meta["engine"]``.
         """
+        from repro.injection.runner import CampaignResults
         functions, specs = self.harness.plan_specs(
             campaign_key, functions=functions, seed=seed,
             byte_stride=byte_stride, max_per_function=max_per_function,
@@ -725,19 +727,9 @@ class FabricCoordinator:
         results, engine_meta = self.run(campaign_key, specs, seed,
                                         byte_stride, shard_count,
                                         workdir, grade=grade)
-        from repro.injection.runner import CampaignResults
-        meta = {
-            "campaign": campaign_key,
-            "functions": sorted({f.name for f in functions}),
-            "n_functions": len(functions),
-            "seed": seed,
-            "byte_stride": byte_stride,
-            "injected": len(specs),
-            "fingerprint": plan_fingerprint(campaign_key, specs, seed,
-                                            byte_stride),
-            "engine": engine_meta,
-        }
-        return CampaignResults(campaign_key, results, meta)
+        return CampaignResults.of_plan(campaign_key, functions, specs,
+                                       seed, byte_stride, results,
+                                       engine_meta)
 
     def run(self, campaign_key, specs, seed, byte_stride, shard_count,
             workdir, grade=True):
@@ -749,16 +741,20 @@ class FabricCoordinator:
                                    byte_stride)
         shards = plan_shards(plan_fp, len(specs), shard_count)
         tasks = {s.index: _ShardTask(s, workdir) for s in shards}
+        forking = config.pool > 1 and fork_available() and shards
         # Every golden run is in the parent before the pool forks, so
         # the workers inherit them copy-on-write, and a shared snapshot
         # store is populated for out-of-process shards.  A cold store's
         # missing runs are built on the pool's cores
         # (InjectionHarness.build_goldens); a translating harness also
         # builds the kernel's code cache there, once for every fork.
+        # The crash-latency calibration is made (or thawed) here too.
         golden_start = time.perf_counter()
         goldens_built = self.harness.build_goldens(
             map(self.harness.workload_of, specs), config.pool)
         golden_s = time.perf_counter() - golden_start
+        if forking:
+            self.harness.crash_overhead()
         for spec in specs:
             self.harness.assign_workload(spec)
         meta = {
@@ -779,7 +775,7 @@ class FabricCoordinator:
             "golden_s": golden_s,
         }
         self._choose_chaos_victims(shards, tasks, meta)
-        if config.pool > 1 and fork_available() and shards:
+        if forking:
             pool = _ShardPool(self, campaign_key, specs, seed,
                               byte_stride, tasks, grade, meta)
             pool.run([s.index for s in shards])

@@ -57,6 +57,9 @@ CAMPAIGN_KEYS = {
 #: Kinds :func:`plan_fault_model_campaign` can plan.
 FAULT_KINDS = tuple(sorted(CAMPAIGN_KEYS))
 
+#: Fault-model kind per campaign key (the inverse of CAMPAIGN_KEYS).
+KIND_OF_KEY = {key: kind for kind, key in CAMPAIGN_KEYS.items()}
+
 #: Registers worth corrupting (esp excluded: a corrupted stack pointer
 #: reduces to the same few double-fault cases — see register_campaign).
 DEFAULT_REGS = (0, 1, 2, 3, 5, 6, 7)
@@ -538,38 +541,3 @@ def plan_fault_model_campaign(kernel, profile, kind, seed=2003,
         specs = specs[:max_specs]
     return specs
 
-
-def run_fault_model_campaign(harness, kind, seed=2003,
-                             per_function=None, max_specs=None,
-                             grade=True, progress=None, jobs=1,
-                             timeout=None, retries=2,
-                             max_worker_failures=3, journal_path=None,
-                             resume=False):
-    """Plan and execute one fault-model campaign end to end.
-
-    Rides the same fault-tolerant engine as the instruction campaigns
-    (process isolation, journaling, resume); returns
-    :class:`~repro.injection.runner.CampaignResults`.
-    """
-    from repro.injection.engine import CampaignEngine, EngineConfig
-    from repro.injection.runner import CampaignResults
-
-    specs = plan_fault_model_campaign(
-        harness.kernel, harness.profile, kind, seed=seed,
-        per_function=per_function, max_specs=max_specs)
-    campaign_key = CAMPAIGN_KEYS[kind]
-    config = EngineConfig(jobs=jobs, timeout=timeout, retries=retries,
-                          max_worker_failures=max_worker_failures,
-                          journal_path=journal_path, resume=resume)
-    engine = CampaignEngine(harness, config)
-    results, engine_meta = engine.execute(
-        campaign_key, specs, seed=seed, byte_stride=1, grade=grade,
-        progress=progress)
-    meta = {
-        "campaign": campaign_key,
-        "fault_model": kind,
-        "seed": seed,
-        "injected": len(specs),
-        "engine": engine_meta,
-    }
-    return CampaignResults(campaign_key, results, meta)

@@ -6,7 +6,8 @@ instruction is equivalent to corrupted register contents).  This
 extension makes the equivalence empirically checkable: campaign R flips
 one bit of one general-purpose register at the moment a target
 instruction is first reached, and the outcome distribution can be
-compared against campaign A's.
+compared against campaign A's.  ``InjectionHarness.run_campaign("R")``
+plans it here and runs it like every other campaign.
 """
 
 import random
@@ -97,28 +98,3 @@ def plan_register_campaign(kernel, functions, seed=2003, per_function=6,
     specs.sort(key=lambda s: (s.instr_addr, s.reg, s.bit))
     return specs
 
-
-def run_register_spec(harness, spec, grade=True):
-    """Execute one register-corruption experiment via *harness*.
-
-    Since the fault-model framework this is a thin shim: the spec is
-    converted to the pipeline form (``fault_model={"kind": "reg"}``)
-    and runs through :meth:`InjectionHarness.run_spec` like every
-    other model — trigger, watchdog, classification and grading all
-    shared.
-    """
-    return harness.run_spec(spec.to_injection_spec(), grade=grade)
-
-
-def run_register_campaign(harness, functions=None, seed=2003,
-                          per_function=6, max_specs=None, grade=True):
-    """Plan + run campaign R; returns a list of InjectionResult."""
-    from repro.injection.campaigns import select_targets
-    if functions is None:
-        functions = select_targets(harness.kernel, harness.profile, "A")
-    specs = plan_register_campaign(harness.kernel, functions, seed=seed,
-                                   per_function=per_function)
-    if max_specs is not None:
-        specs = specs[:max_specs]
-    return [run_register_spec(harness, spec, grade=grade)
-            for spec in specs]

@@ -17,13 +17,20 @@ import tempfile
 from collections import Counter
 
 from repro.cpu.translate import code_cache
-from repro.injection.campaigns import plan_campaign, select_targets
+from repro.injection.campaigns import CAMPAIGNS, plan_campaign, \
+    select_targets
 from repro.injection.engine import (
     CampaignEngine,
+    CampaignJournal,
     EngineConfig,
     atomic_write_json,
     fork_available,
     plan_fingerprint,
+)
+from repro.injection.faultmodels import (
+    KIND_OF_KEY,
+    plan_fault_model_campaign,
+    resolve_model,
 )
 from repro.injection.outcomes import (
     CRASH_DUMPED,
@@ -39,6 +46,7 @@ from repro.injection.outcomes import (
     InjectionResult,
     crash_cause_name,
 )
+from repro.injection.register_campaign import plan_register_campaign
 from repro.injection.severity import grade_severity
 from repro.kernel.layout import KernelLayout
 from repro.machine.machine import Machine, build_standard_disk
@@ -110,6 +118,23 @@ class CampaignResults:
         self.campaign = campaign
         self.results = results
         self.meta = meta or {}
+
+    @classmethod
+    def of_plan(cls, campaign, functions, specs, seed, byte_stride,
+                results, engine_meta):
+        """The results of executing a plan of :meth:`InjectionHarness.
+        plan_specs`, with the plan's metadata."""
+        return cls(campaign, results, {
+            "campaign": campaign,
+            "functions": sorted({f.name for f in functions}),
+            "n_functions": len(functions),
+            "seed": seed,
+            "byte_stride": byte_stride,
+            "injected": len(specs),
+            "fingerprint": plan_fingerprint(campaign, specs, seed,
+                                            byte_stride),
+            "engine": engine_meta,
+        })
 
     def __iter__(self):
         return iter(self.results)
@@ -450,10 +475,7 @@ class InjectionHarness:
         assignment, watchdog, classification, severity grading — is
         shared, so every model's results are directly comparable.
         """
-        model = None
-        if getattr(spec, "fault_model", None) is not None:
-            from repro.injection.faultmodels import resolve_model
-            model = resolve_model(spec)
+        model = resolve_model(spec)
         covered = self.assign_workload(spec)
         base = dict(
             campaign=spec.campaign,
@@ -714,7 +736,8 @@ class InjectionHarness:
                      journal_path=None, resume=False,
                      static_verdicts=False, delta_from=None,
                      delta_base_kernel=None):
-        """Plan and execute a whole campaign; returns CampaignResults.
+        """Plan and execute a whole campaign of any kind (see
+        :meth:`plan_specs`); returns CampaignResults.
 
         Execution goes through the fault-tolerant engine
         (:mod:`repro.injection.engine`): *jobs* > 1 runs experiments in
@@ -729,57 +752,59 @@ class InjectionHarness:
         *static_verdicts* enriches every spec (and hence every result)
         with the symbolic error-propagation verdict.  Enrichment does
         not enter the journal fingerprint, so enriched runs resume
-        cleanly over journals written without it and vice versa.
+        cleanly over journals written without it and vice versa, and
+        a delta campaign carries records across it either way.
 
-        *delta_from* switches to an incremental delta campaign
+        *delta_from* makes it an incremental delta campaign
         (:mod:`repro.staticanalysis.delta`): a prior campaign journal
         run against *delta_base_kernel* whose records are carried
-        forward wherever the static differ proves them bit-identical,
-        leaving only the impacted remainder to execute.
+        forward wherever the static differ proves them bit-identical.
+        They are journaled before the engine starts, and the engine
+        resumes over them, so only the impacted remainder executes;
+        ``meta["delta"]`` summarizes the plan.
         """
-        if delta_from is not None:
+        plan_args = dict(functions=functions, seed=seed,
+                         byte_stride=byte_stride,
+                         max_per_function=max_per_function,
+                         max_specs=max_specs,
+                         static_verdicts=static_verdicts)
+        delta = None
+        if delta_from is None:
+            functions, specs = self.plan_specs(campaign_key, **plan_args)
+        else:
             if delta_base_kernel is None:
                 raise ValueError(
                     "delta_from requires delta_base_kernel (the "
                     "kernel image the source journal ran against)")
-            if static_verdicts:
-                raise ValueError(
-                    "delta campaigns cannot enrich specs: carried "
-                    "records would mix with enriched live ones")
-            from repro.staticanalysis.delta import run_delta_campaign
-            return run_delta_campaign(
-                self, delta_base_kernel, delta_from, campaign_key,
-                seed=seed, byte_stride=byte_stride,
-                functions=functions,
-                max_per_function=max_per_function,
-                max_specs=max_specs, grade=grade, progress=progress,
-                jobs=jobs, timeout=timeout, retries=retries,
-                max_worker_failures=max_worker_failures,
-                journal_path=journal_path)
-        functions, specs = self.plan_specs(
-            campaign_key, functions=functions, seed=seed,
-            byte_stride=byte_stride, max_per_function=max_per_function,
-            max_specs=max_specs, static_verdicts=static_verdicts)
+            from repro.staticanalysis.delta import plan_delta
+            delta = plan_delta(self, delta_base_kernel, delta_from,
+                               campaign_key, **plan_args)
+            functions, specs = delta.functions, delta.specs
+            if journal_path is None:
+                journal_path = os.path.join(
+                    tempfile.mkdtemp(prefix="delta_campaign_"),
+                    "delta.journal.jsonl")
+            journal = CampaignJournal(journal_path)
+            journal.start(delta.fingerprint, campaign_key, seed,
+                          len(specs), fresh=True)
+            try:
+                delta.seed_journal(journal)
+            finally:
+                journal.close()
+            resume = True
         config = EngineConfig(jobs=jobs, timeout=timeout,
                               retries=retries,
                               max_worker_failures=max_worker_failures,
                               journal_path=journal_path, resume=resume)
-        engine = CampaignEngine(self, config)
-        results, engine_meta = engine.execute(
+        results, engine_meta = CampaignEngine(self, config).execute(
             campaign_key, specs, seed=seed, byte_stride=byte_stride,
             grade=grade, progress=progress)
-        meta = {
-            "campaign": campaign_key,
-            "functions": sorted({f.name for f in functions}),
-            "n_functions": len(functions),
-            "seed": seed,
-            "byte_stride": byte_stride,
-            "injected": len(specs),
-            "fingerprint": plan_fingerprint(campaign_key, specs, seed,
-                                            byte_stride),
-            "engine": engine_meta,
-        }
-        return CampaignResults(campaign_key, results, meta)
+        campaign = CampaignResults.of_plan(
+            campaign_key, functions, specs, seed, byte_stride, results,
+            engine_meta)
+        if delta is not None:
+            campaign.meta["delta"] = delta.summary()
+        return campaign
 
     def plan_specs(self, campaign_key, functions=None, seed=2003,
                    byte_stride=1, max_per_function=None,
@@ -790,14 +815,39 @@ class InjectionHarness:
         fabric (:mod:`repro.injection.fabric`) can re-plan the exact
         spec list on any host and carve shards out of it without
         executing anything.
+
+        *campaign_key* is one of the paper's instruction-flip campaigns
+        (A, B, C), a fault-model campaign
+        (:data:`~repro.injection.faultmodels.CAMPAIGN_KEYS`: M, RT, I,
+        D) or the register campaign R.  R triggers in *functions*, by
+        default campaign A's; the fault models trigger in campaign A's
+        functions (the disk model at its fixed fs/driver entries).
+        Both take *max_per_function* as the number of faults planned
+        per function.  *static_verdicts* annotates instruction-flip
+        plans only: the verdict models an instruction flip.
         """
         if functions is None:
-            functions = select_targets(self.kernel, self.profile,
-                                       campaign_key)
-        specs = plan_campaign(self.kernel, campaign_key, functions,
-                              seed=seed, byte_stride=byte_stride,
-                              max_per_function=max_per_function,
-                              static_verdicts=static_verdicts)
+            functions = select_targets(
+                self.kernel, self.profile,
+                campaign_key if campaign_key in CAMPAIGNS else "A")
+        if campaign_key in CAMPAIGNS:
+            specs = plan_campaign(self.kernel, campaign_key, functions,
+                                  seed=seed, byte_stride=byte_stride,
+                                  max_per_function=max_per_function,
+                                  static_verdicts=static_verdicts)
+        elif campaign_key == "R":
+            per_function = {}
+            if max_per_function is not None:
+                per_function["per_function"] = max_per_function
+            specs = [spec.to_injection_spec()
+                     for spec in plan_register_campaign(
+                         self.kernel, functions, seed=seed,
+                         **per_function)]
+        else:
+            specs = plan_fault_model_campaign(
+                self.kernel, self.profile,
+                KIND_OF_KEY.get(campaign_key, campaign_key), seed=seed,
+                per_function=max_per_function)
         if max_specs is not None:
             specs = specs[:max_specs]
         return functions, specs
@@ -809,11 +859,8 @@ class _GoldenBuilder:
     It writes its runs, frozen as the snapshot store freezes them, to a
     file and exits; the parent joins it and thaws them only once it has
     built its own, so reading them never competes with its own golden
-    runs for the interpreter.  The file also carries the translation
-    heat the builder's boots added, which the parent adds to its own:
-    the workers it forks then find the same heads hot as after a serial
-    build.  The builder does not use the snapshot store: the parent
-    saves what it takes, and counts it there.
+    runs for the interpreter.  The builder does not use the snapshot
+    store: the parent saves what it takes, and counts it there.
     """
 
     def __init__(self, harness, workloads):
@@ -833,20 +880,15 @@ class _GoldenBuilder:
         from repro.injection.fabric import _thaw_golden
         if self.frozen is None:
             self.process.join()
-            shipped = {"goldens": {}, "heat": {}}
+            self.frozen = {}
             try:
                 if self.process.exitcode == 0:
                     with open(self.path, "rb") as fh:
-                        shipped = pickle.load(fh)
+                        self.frozen = pickle.load(fh)
             except (OSError, EOFError, pickle.UnpicklingError):
                 pass
             finally:
                 os.unlink(self.path)
-            self.frozen = shipped["goldens"]
-            if shipped["heat"]:
-                heat = code_cache(kernel).heat
-                for key, count in shipped["heat"].items():
-                    heat[key] = heat.get(key, 0) + count
         payload = self.frozen.pop(workload, None)
         return None if payload is None else _thaw_golden(payload, kernel)
 
@@ -860,22 +902,12 @@ class _GoldenBuilder:
 
 
 def _golden_builder_main(harness, workloads, path):
-    """A golden builder's body: build *workloads* in-process, then ship
-    them with the heat their boots added."""
+    """A golden builder's body: build *workloads* in-process and write
+    them, frozen, to *path*."""
     from repro.injection.fabric import _freeze_golden
     harness.snapshot_store = None
     harness._builders = {}
-    heat = code_cache(harness.kernel).heat if harness.translate else {}
-    before = dict(heat)
     frozen = {workload: _freeze_golden(harness.golden(workload))
               for workload in workloads}
-    added = {key: count - before.get(key, 0)
-             for key, count in heat.items()
-             if count > before.get(key, 0)}
-    _ship_goldens({"goldens": frozen, "heat": added}, path)
-
-
-def _ship_goldens(shipped, path):
-    """Write what a builder hands its parent."""
     with open(path, "wb") as fh:
-        pickle.dump(shipped, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dump(frozen, fh, protocol=pickle.HIGHEST_PROTOCOL)

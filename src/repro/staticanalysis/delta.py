@@ -58,8 +58,8 @@ avoids every changed (or moved) function.  The checks, in order:
    impact closure;
 3. an old record exists at the same coordinates ``(function, addr,
    byte_offset, bit)`` with the same workload assignment, the same
-   activation decision, and no enrichment (``pred_*``/``trace_*`` —
-   an unenriched re-run could not reproduce those fields);
+   activation decision, and no ``trace_*`` enrichment (an untraced
+   re-run could not reproduce those fields);
 4. ``HARNESS_ERROR`` outcomes always re-run (they describe the
    harness, not the kernel);
 5. a non-activated record is synthesized from the spec alone, so the
@@ -103,20 +103,21 @@ Carried records enter the new journal through
 
 and the engine then resumes over the pre-seeded journal, executing
 only the live remainder — which means a delta plan shards, merges,
-resumes and journal-audits exactly like any other plan.
+resumes and journal-audits exactly like any other plan.  A carried
+record takes its ``pred_*`` fields from the new plan's spec: they depend
+only on the spec and the kernel, so delta composes with
+``static_verdicts`` enrichment whichever way the source was planned.
+``InjectionHarness.run_campaign(delta_from=...)`` is the entry point.
 """
 
 import hashlib
 import json
 import os
 import struct
-import tempfile
 from collections import Counter
 
 from repro.injection.engine import (
-    CampaignEngine,
     CampaignJournal,
-    EngineConfig,
     plan_fingerprint,
     prefer_result,
     read_journal_lines,
@@ -629,11 +630,23 @@ def write_results_journal(results, path):
 
 
 def _enriched(result):
-    """True when the record carries pred_*/trace_* enrichment (a
-    fresh unenriched run could not reproduce it bit-identically)."""
-    fields = ("pred_class", "pred_seed", "pred_traps",
-              "pred_subsystems", "trace_diverged", "trace_complete")
-    return any(getattr(result, f) is not None for f in fields)
+    """True when the record carries trace_* enrichment (a fresh
+    untraced run could not reproduce it bit-identically)."""
+    return (result.trace_diverged is not None
+            or result.trace_complete is not None)
+
+
+#: The spec-derived verdict fields a result copies from its spec.
+_PRED_FIELDS = ("pred_class", "pred_traps", "pred_latency_lo",
+                "pred_latency_hi", "pred_subsystems", "pred_seed")
+
+
+def _carry(result, spec):
+    """*result* as a run of *spec* records it: its ``pred_*`` fields
+    are the spec's."""
+    fields = result.to_dict()
+    fields.update((f, getattr(spec, f)) for f in _PRED_FIELDS)
+    return InjectionResult.from_dict(fields)
 
 
 class DeltaPlan:
@@ -693,14 +706,17 @@ def _kernel_fp(kernel):
 
 def plan_delta(harness, base_kernel, source_journal, campaign_key,
                seed=2003, byte_stride=1, functions=None,
-               max_per_function=None, max_specs=None):
+               max_per_function=None, max_specs=None,
+               static_verdicts=False):
     """Plan campaign *campaign_key* on ``harness.kernel``, carrying
     forward every record of *source_journal* (run against
     *base_kernel*) that the differ proves equivalent.
 
-    Returns a :class:`DeltaPlan`.  The harness must be a plain
-    untraced harness: trace/verdict enrichment embeds absolute
-    addresses and timings the differ does not model.
+    Returns a :class:`DeltaPlan`.  The harness must be untraced: trace
+    enrichment embeds absolute addresses and timings the differ does
+    not model.  *static_verdicts* enriches the plan as
+    :meth:`~repro.injection.runner.InjectionHarness.plan_specs` does,
+    and the carried records with it.
     """
     if getattr(harness, "trace", False):
         raise ValueError("delta planning requires an untraced harness")
@@ -711,7 +727,7 @@ def plan_delta(harness, base_kernel, source_journal, campaign_key,
     functions, specs = harness.plan_specs(
         campaign_key, functions=functions, seed=seed,
         byte_stride=byte_stride, max_per_function=max_per_function,
-        max_specs=max_specs)
+        max_specs=max_specs, static_verdicts=static_verdicts)
     fingerprint = plan_fingerprint(campaign_key, specs, seed,
                                    byte_stride)
     provenance = {
@@ -827,67 +843,15 @@ def plan_delta(harness, base_kernel, source_journal, campaign_key,
     for index, spec in enumerate(specs):
         reason = live_reason(spec)
         if reason is None:
-            carried[index] = old[(spec.function, spec.instr_addr,
-                                  spec.byte_offset, spec.bit, None)]
+            carried[index] = _carry(old[(spec.function, spec.instr_addr,
+                                         spec.byte_offset, spec.bit,
+                                         None)], spec)
         else:
             live_indices.append(index)
             reasons[reason] += 1
     return DeltaPlan(campaign_key, seed, byte_stride, functions,
                      specs, fingerprint, diff, carried, live_indices,
                      reasons, provenance)
-
-
-# ---------------------------------------------------------------------------
-# execution
-
-
-def run_delta_campaign(harness, base_kernel, source_journal,
-                       campaign_key, seed=2003, byte_stride=1,
-                       functions=None, max_per_function=None,
-                       max_specs=None, grade=True, progress=None,
-                       jobs=1, timeout=None, retries=2,
-                       max_worker_failures=3, journal_path=None):
-    """Run a delta campaign; returns a normal ``CampaignResults``.
-
-    Plans with :func:`plan_delta`, pre-seeds the journal with every
-    carried record (provenance attached), then lets the standard
-    engine resume over it — only live sites execute.
-    ``meta["delta"]`` carries the plan summary (re-run fraction,
-    per-reason live counts, the diff digest, provenance).
-    """
-    from repro.injection.runner import CampaignResults
-    plan = plan_delta(harness, base_kernel, source_journal,
-                      campaign_key, seed=seed, byte_stride=byte_stride,
-                      functions=functions,
-                      max_per_function=max_per_function,
-                      max_specs=max_specs)
-    if journal_path is None:
-        workdir = tempfile.mkdtemp(prefix="delta_campaign_")
-        journal_path = os.path.join(workdir, "delta.journal.jsonl")
-    journal = CampaignJournal(journal_path)
-    journal.start(plan.fingerprint, campaign_key, seed,
-                  len(plan.specs), fresh=True)
-    try:
-        plan.seed_journal(journal)
-    finally:
-        journal.close()
-    config = EngineConfig(jobs=jobs, timeout=timeout, retries=retries,
-                          max_worker_failures=max_worker_failures,
-                          journal_path=journal_path, resume=True)
-    engine = CampaignEngine(harness, config)
-    results, engine_meta = engine.execute(
-        campaign_key, plan.specs, seed, byte_stride, grade=grade,
-        progress=progress)
-    meta = {
-        "campaign": campaign_key,
-        "seed": seed,
-        "byte_stride": byte_stride,
-        "n_targets": len(plan.functions),
-        "fingerprint": plan.fingerprint,
-        "engine": engine_meta,
-        "delta": plan.summary(),
-    }
-    return CampaignResults(campaign_key, results, meta)
 
 
 def seed_shard_journals(plan, shards, workdir):

@@ -2,9 +2,10 @@
 
 The execution half of :mod:`repro.staticanalysis.delta`: planning a
 campaign against a prior journal, pre-seeding carried records with
-provenance, resuming the engine over them, sharding through the
-fabric, and the ``run_campaign(delta_from=...)`` /
-``python -m repro.tools.kdelta`` entry points.
+provenance, resuming the engine over them, composing with
+``static_verdicts`` enrichment, sharding through the fabric, and the
+``run_campaign(delta_from=...)`` / ``python -m repro.tools.kdelta``
+entry points.
 """
 
 import json
@@ -37,6 +38,18 @@ def base_run(harness, tmp_path_factory):
                                    byte_stride=_STRIDE,
                                    max_specs=_MAX_SPECS,
                                    journal_path=path)
+    return results, path
+
+
+@pytest.fixture(scope="module")
+def enriched_base_run(harness, tmp_path_factory):
+    """The slice of :func:`base_run`, planned with static verdicts."""
+    path = str(tmp_path_factory.mktemp("delta") / "enriched.journal.jsonl")
+    results = harness.run_campaign(_KEY, seed=_SEED,
+                                   byte_stride=_STRIDE,
+                                   max_specs=_MAX_SPECS,
+                                   journal_path=path,
+                                   static_verdicts=True)
     return results, path
 
 
@@ -102,8 +115,8 @@ def test_noop_delta_results_identical(harness, base_run, tmp_path):
 
 def test_enriched_source_records_stay_live(harness, base_run,
                                            tmp_path):
-    """A record carrying pred_*/trace_* enrichment cannot be proved
-    reproducible by an unenriched re-run: it must go live."""
+    """A record carrying trace_* enrichment cannot be proved
+    reproducible by an untraced re-run: it must go live."""
     _, journal = base_run
     doctored = str(tmp_path / "enriched.journal.jsonl")
     flagged = 0
@@ -111,7 +124,7 @@ def test_enriched_source_records_stay_live(harness, base_run,
         for line in src:
             record = json.loads(line)
             if record.get("type") == "result" and not flagged:
-                record["result"]["pred_class"] = "CORRUPT_VALUE"
+                record["result"]["trace_diverged"] = True
                 flagged += 1
             dst.write(json.dumps(record) + "\n")
     assert flagged == 1
@@ -140,6 +153,27 @@ def test_recovery_delta_equals_scratch(harness, recovery_harness2,
     assert meta["live"] + meta["carried"] == len(scratch.results)
     assert sum(meta["reasons"].values()) == meta["live"]
     assert meta["diff"]["changed"] == ["oops_recoverable"]
+
+
+@pytest.mark.parametrize("source_enriched", [False, True],
+                         ids=["enriched-delta", "enriched-source"])
+def test_delta_composes_with_enrichment(harness, recovery_harness2,
+                                        base_run, enriched_base_run,
+                                        source_enriched):
+    """A carried record takes its pred_* fields from the new plan, so
+    delta equals scratch whichever side was planned with verdicts."""
+    _, journal = enriched_base_run if source_enriched else base_run
+    enriched = not source_enriched
+    campaign = dict(seed=_SEED, byte_stride=_STRIDE,
+                    max_specs=_MAX_SPECS, static_verdicts=enriched)
+    scratch = recovery_harness2.run_campaign(_KEY, **campaign)
+    delta = recovery_harness2.run_campaign(
+        _KEY, delta_from=journal, delta_base_kernel=harness.kernel,
+        **campaign)
+    assert delta.meta["delta"]["carried"] >= 1
+    assert _dicts(delta.results) == _dicts(scratch.results)
+    assert all((r.pred_traps is not None) == enriched
+               for r in delta.results)
 
 
 def test_planner_counts_its_coverage_boots(harness, base_run,
@@ -217,10 +251,6 @@ def test_run_campaign_delta_argument_validation(harness, base_run):
     _, journal = base_run
     with pytest.raises(ValueError, match="delta_base_kernel"):
         harness.run_campaign(_KEY, delta_from=journal)
-    with pytest.raises(ValueError, match="enrich"):
-        harness.run_campaign(_KEY, delta_from=journal,
-                             delta_base_kernel=harness.kernel,
-                             static_verdicts=True)
 
 
 def test_plan_delta_rejects_traced_harness(harness, base_run):

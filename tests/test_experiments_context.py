@@ -35,7 +35,7 @@ class TestContextPlumbing:
     def test_summary_json(self):
         ctx = ExperimentContext(scale="tiny", seed=3)
         ctx._campaigns = {
-            key: CampaignResults(key, [
+            (key, ""): CampaignResults(key, [
                 make_result(outcome="not_manifested"),
                 make_result(outcome="crash_dumped", crash_cause="gpf"),
             ]) for key in "ABC"

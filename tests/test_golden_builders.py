@@ -4,8 +4,9 @@ A campaign with ``jobs`` (or a fabric ``pool``) > 1 builds the golden
 runs it lacks in bins: the parent builds one, forked builders the
 others and hand them back frozen (``InjectionHarness.build_goldens``).
 Whoever built it, each golden run must equal the in-process one field
-by field, and the campaign must equal a serial one.  The session
-harnesses already hold every golden run, so these tests use fresh ones.
+by field, and the campaign must equal a serial one.  The crash-latency
+calibration is made before the fork too, once.  The session harnesses
+already hold every golden run, so these tests use fresh ones.
 """
 
 import os
@@ -13,6 +14,7 @@ import os
 import pytest
 
 from repro.injection import runner
+from repro.injection.campaigns import select_targets
 from repro.injection.fabric import (
     FabricConfig,
     FabricCoordinator,
@@ -100,10 +102,10 @@ def test_parallel_build_is_bit_identical(fresh_harness, serial,
 
 def test_dead_builder_costs_no_result(fresh_harness, serial, built_here,
                                       monkeypatch):
-    def die(shipped, path):
+    def die(harness, workloads, path):
         os._exit(1)
 
-    monkeypatch.setattr(runner, "_ship_goldens", die)
+    monkeypatch.setattr(runner, "_golden_builder_main", die)
     reference, expected = serial(False)
     built_here.clear()
     harness = fresh_harness()
@@ -181,3 +183,35 @@ def test_parent_failure_stops_its_builders(fresh_harness, binaries,
     assert builders[0].process.exitcode is not None
     assert not os.path.exists(builders[0].path)
     assert not harness._builders
+
+
+def test_parallel_campaign_calibrates_once_in_the_parent(
+        fresh_harness, harness, kernel, profile, tmp_path, monkeypatch):
+    """The workers inherit the crash-latency calibration: on a plan
+    that crashes but drives no ``syscall`` spec, the parent boots the
+    ``syscall`` golden for it once and no worker calibrates again."""
+    functions = [f for f in select_targets(kernel, profile, "A")
+                 if harness.workload_priority(f.name)[0] == "looper"]
+    plan = dict(functions=functions, seed=7, byte_stride=5,
+                max_specs=8, grade=False)
+    expected = harness.run_campaign("A", **plan)
+    assert {r.workload for r in expected.results} == {"looper"}
+    assert any(r.latency is not None for r in expected.results)
+    calibrations = str(tmp_path / "calibrations")
+    real = InjectionHarness.crash_overhead
+
+    def spy(self):
+        if self._crash_overhead is None:
+            with open(calibrations, "a") as fh:
+                fh.write("%d\n" % os.getpid())
+        return real(self)
+
+    monkeypatch.setattr(InjectionHarness, "crash_overhead", spy)
+    fresh = fresh_harness()
+    campaign = fresh.run_campaign("A", jobs=2, **plan)
+    assert dicts(campaign) == dicts(expected)
+    assert campaign.meta["engine"]["workers_spawned"] == 2
+    assert campaign.meta["engine"]["goldens_built"] == 1
+    assert fresh.boots == 2             # looper, then syscall to calibrate
+    with open(calibrations) as fh:
+        assert fh.read().split() == [str(os.getpid())]

@@ -98,10 +98,10 @@ class TestFaultModelDeterminism:
 
     @staticmethod
     def _run(harness, kind, **kwargs):
-        from repro.injection.faultmodels import run_fault_model_campaign
+        from repro.injection.faultmodels import CAMPAIGN_KEYS
         merged = dict(TestFaultModelDeterminism.CAMPAIGN)
         merged.update(kwargs)
-        return run_fault_model_campaign(harness, kind, **merged)
+        return harness.run_campaign(CAMPAIGN_KEYS[kind], **merged)
 
     @pytest.fixture(scope="class")
     def serials(self, harness):

@@ -1,11 +1,9 @@
 """Extension campaign R: register corruption at an instruction trigger."""
 
+import pytest
+
 from repro.injection.campaigns import select_targets
-from repro.injection.register_campaign import (
-    plan_register_campaign,
-    run_register_campaign,
-    run_register_spec,
-)
+from repro.injection.register_campaign import plan_register_campaign
 
 
 class TestPlan:
@@ -33,8 +31,8 @@ class TestPlan:
 
 class TestRun:
     def test_small_run_classifies(self, harness):
-        results = run_register_campaign(harness, max_specs=12,
-                                        grade=False)
+        results = harness.run_campaign("R", max_specs=12,
+                                       grade=False).results
         assert len(results) == 12
         outcomes = {r.outcome for r in results}
         assert outcomes <= {"not_activated", "not_manifested",
@@ -52,8 +50,34 @@ class TestRun:
                                        per_function=30)
         target = next(s for s in specs if s.reg == 5)
         target.bit = 31
-        result = run_register_spec(harness, target, grade=False)
+        result = harness.run_spec(target.to_injection_spec(),
+                                  grade=False)
         if result.activated:
             assert result.outcome in ("crash_dumped", "crash_unknown",
                                       "hang", "fail_silence_violation",
                                       "not_manifested")
+
+
+class TestCampaign:
+    """Campaign R runs through ``run_campaign`` like every campaign."""
+
+    @pytest.fixture(scope="class")
+    def serial(self, harness):
+        return harness.run_campaign("R", max_specs=6, grade=False)
+
+    def test_equals_the_planned_specs_run_one_by_one(self, kernel,
+                                                      profile, harness,
+                                                      serial):
+        functions = select_targets(kernel, profile, "A")
+        specs = plan_register_campaign(kernel, functions)[:6]
+        expected = [harness.run_spec(s.to_injection_spec(),
+                                     grade=False).to_dict()
+                    for s in specs]
+        assert [r.to_dict() for r in serial.results] == expected
+
+    def test_parallel_matches_serial(self, harness, serial):
+        parallel = harness.run_campaign("R", max_specs=6, grade=False,
+                                        jobs=2)
+        assert parallel.meta["engine"]["mode"] == "parallel"
+        assert ([r.to_dict() for r in parallel.results]
+                == [r.to_dict() for r in serial.results])

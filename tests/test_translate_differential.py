@@ -27,10 +27,7 @@ from repro.cpu.cpu import CPU, CpuHalted, WatchdogExpired
 from repro.cpu.memory import MemoryBus
 from repro.cpu.translate import BlockCache, CodeCache, code_cache
 from repro.injection.campaigns import plan_campaign, select_targets
-from repro.injection.faultmodels import (
-    plan_fault_model_campaign,
-    run_fault_model_campaign,
-)
+from repro.injection.faultmodels import plan_fault_model_campaign
 from repro.isa.assembler import assemble
 
 # ----------------------------------------------------------------------
@@ -94,13 +91,10 @@ class TestSeededSlice:
 
     def test_intermittent_fault_model_slice(self, interpreted_harness,
                                             harness):
-        interp = run_fault_model_campaign(interpreted_harness,
-                                          "intermittent", seed=2003,
-                                          max_specs=40, grade=False,
-                                          jobs=2)
-        translated = run_fault_model_campaign(
-            harness, "intermittent", seed=2003,
-            max_specs=40, grade=False, jobs=2)
+        interp = interpreted_harness.run_campaign(
+            "I", seed=2003, max_specs=40, grade=False, jobs=2)
+        translated = harness.run_campaign(
+            "I", seed=2003, max_specs=40, grade=False, jobs=2)
         assert len(interp) >= 20
         assert _dicts(translated) == _dicts(interp)
 
