@@ -2,13 +2,12 @@
 """Check the result line of a traced campaign-benchmark run.
 
     python3 benchmarks/campaign/run.py --smoke --trace 1 | tee trace.txt
-    python3 scripts/check_trace_line.py trace.txt [--workload NAME]...
+    python3 scripts/check_trace_line.py trace.txt
 
 The last line of the run's standard output must parse as strict JSON
 (no ``NaN`` or ``Infinity``), report ``correct``, and hold every
 ``per_layer`` metric that BENCHMARK.json declares as a finite number
-for each workload: every workload of BENCHMARK.json unless
-``--workload`` names the ones the run was limited to.  A metric reads
+for each of its workloads (key ``<workload>/<metric>``).  A metric reads
 ``null`` when the layer it measures lost its wrap target, and the run
 still exits 0, so this check is what catches it.  Exits 1 and names
 every failure otherwise.
@@ -41,8 +40,7 @@ def check(line, spec, workloads):
     metrics = result.get("metrics") or {}
     for workload in workloads:
         for metric in spec["per_layer"]:
-            key = metric["name"] if len(workloads) == 1 else \
-                "%s/%s" % (workload, metric["name"])
+            key = "%s/%s" % (workload, metric["name"])
             value = (metrics.get(key) or {}).get("value")
             if isinstance(value, bool) \
                     or not isinstance(value, (int, float)) \
@@ -55,11 +53,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0])
     parser.add_argument("output", help="the run's standard output")
-    parser.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     with open(args.output) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     failures = check(lines[-1] if lines else "", spec, workloads)

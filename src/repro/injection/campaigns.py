@@ -93,6 +93,12 @@ def instruction_class(ins):
     return _CLASS_BY_OP.get(ins.op, INSTR_CLASS_OTHER)
 
 
+#: The static verdict fields of a spec, which every result of the spec
+#: copies (:meth:`~repro.injection.runner.InjectionHarness.run_spec`).
+PRED_FIELDS = ("pred_class", "pred_traps", "pred_latency_lo",
+               "pred_latency_hi", "pred_subsystems", "pred_seed")
+
+
 class InjectionSpec:
     """One planned injection.
 
@@ -120,9 +126,8 @@ class InjectionSpec:
 
     __slots__ = ("campaign", "function", "subsystem", "instr_addr",
                  "instr_len", "byte_offset", "bit", "mnemonic",
-                 "workload", "instr_class", "is_branch", "pred_class",
-                 "pred_traps", "pred_latency_lo", "pred_latency_hi",
-                 "pred_subsystems", "pred_seed", "fault_model")
+                 "workload", "instr_class", "is_branch") + PRED_FIELDS \
+        + ("fault_model",)
 
     def __init__(self, campaign, function, subsystem, instr_addr,
                  instr_len, byte_offset, bit, mnemonic, workload=None,

@@ -17,8 +17,8 @@ import tempfile
 from collections import Counter
 
 from repro.cpu.translate import code_cache
-from repro.injection.campaigns import CAMPAIGNS, plan_campaign, \
-    select_targets
+from repro.injection.campaigns import CAMPAIGNS, PRED_FIELDS, \
+    plan_campaign, select_targets
 from repro.injection.engine import (
     CampaignEngine,
     CampaignJournal,
@@ -487,14 +487,9 @@ class InjectionHarness:
             mnemonic=spec.mnemonic,
             instr_class=getattr(spec, "instr_class", None),
             is_branch=getattr(spec, "is_branch", None),
-            pred_class=getattr(spec, "pred_class", None),
-            pred_traps=getattr(spec, "pred_traps", None),
-            pred_latency_lo=getattr(spec, "pred_latency_lo", None),
-            pred_latency_hi=getattr(spec, "pred_latency_hi", None),
-            pred_subsystems=getattr(spec, "pred_subsystems", None),
-            pred_seed=getattr(spec, "pred_seed", None),
             workload=spec.workload,
         )
+        base.update((f, getattr(spec, f, None)) for f in PRED_FIELDS)
         if model is not None:
             base["fault_model"] = model.kind
             base["fault_target"] = model.target_name(spec)
@@ -820,22 +815,35 @@ class InjectionHarness:
         (A, B, C), a fault-model campaign
         (:data:`~repro.injection.faultmodels.CAMPAIGN_KEYS`: M, RT, I,
         D) or the register campaign R.  R triggers in *functions*, by
-        default campaign A's; the fault models trigger in campaign A's
-        functions (the disk model at its fixed fs/driver entries).
-        Both take *max_per_function* as the number of faults planned
-        per function.  *static_verdicts* annotates instruction-flip
-        plans only: the verdict models an instruction flip.
+        default campaign A's.  A fault model picks its own triggers
+        (campaign A's functions; the disk model its fixed fs/driver
+        entries), so it takes no *functions* and returns the ones its
+        specs trigger in.  Both take *max_per_function* as the number
+        of faults planned per function.  *static_verdicts* annotates
+        instruction-flip plans only: the verdict models an
+        instruction flip.
         """
+        if campaign_key in KIND_OF_KEY:
+            if functions is not None:
+                raise ValueError(
+                    "fault-model campaign %s picks its own trigger "
+                    "functions; pass no functions" % campaign_key)
+            specs = plan_fault_model_campaign(
+                self.kernel, self.profile, KIND_OF_KEY[campaign_key],
+                seed=seed, per_function=max_per_function,
+                max_specs=max_specs)
+            names = {spec.function for spec in specs}
+            return ([f for f in self.kernel.functions if f.name in names],
+                    specs)
+        if campaign_key not in CAMPAIGNS and campaign_key != "R":
+            raise ValueError("unknown campaign key %r (have %s)" % (
+                campaign_key,
+                ", ".join(sorted(CAMPAIGNS) + ["R"] + sorted(KIND_OF_KEY))))
         if functions is None:
             functions = select_targets(
                 self.kernel, self.profile,
                 campaign_key if campaign_key in CAMPAIGNS else "A")
-        if campaign_key in CAMPAIGNS:
-            specs = plan_campaign(self.kernel, campaign_key, functions,
-                                  seed=seed, byte_stride=byte_stride,
-                                  max_per_function=max_per_function,
-                                  static_verdicts=static_verdicts)
-        elif campaign_key == "R":
+        if campaign_key == "R":
             per_function = {}
             if max_per_function is not None:
                 per_function["per_function"] = max_per_function
@@ -844,10 +852,10 @@ class InjectionHarness:
                          self.kernel, functions, seed=seed,
                          **per_function)]
         else:
-            specs = plan_fault_model_campaign(
-                self.kernel, self.profile,
-                KIND_OF_KEY.get(campaign_key, campaign_key), seed=seed,
-                per_function=max_per_function)
+            specs = plan_campaign(self.kernel, campaign_key, functions,
+                                  seed=seed, byte_stride=byte_stride,
+                                  max_per_function=max_per_function,
+                                  static_verdicts=static_verdicts)
         if max_specs is not None:
             specs = specs[:max_specs]
         return functions, specs

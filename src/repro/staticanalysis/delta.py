@@ -116,6 +116,7 @@ import os
 import struct
 from collections import Counter
 
+from repro.injection.campaigns import PRED_FIELDS
 from repro.injection.engine import (
     CampaignJournal,
     plan_fingerprint,
@@ -636,16 +637,11 @@ def _enriched(result):
             or result.trace_complete is not None)
 
 
-#: The spec-derived verdict fields a result copies from its spec.
-_PRED_FIELDS = ("pred_class", "pred_traps", "pred_latency_lo",
-                "pred_latency_hi", "pred_subsystems", "pred_seed")
-
-
 def _carry(result, spec):
     """*result* as a run of *spec* records it: its ``pred_*`` fields
     are the spec's."""
     fields = result.to_dict()
-    fields.update((f, getattr(spec, f)) for f in _PRED_FIELDS)
+    fields.update((f, getattr(spec, f)) for f in PRED_FIELDS)
     return InjectionResult.from_dict(fields)
 
 

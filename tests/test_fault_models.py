@@ -100,6 +100,14 @@ class TestPlanning:
         with pytest.raises(ValueError):
             plan_fault_model_campaign(kernel, profile, "quantum")
 
+    def test_harness_plans_reject_functions_and_unknown_keys(
+            self, harness):
+        functions = harness.plan_specs("A")[0][:1]
+        with pytest.raises(ValueError, match="own trigger"):
+            harness.plan_specs("D", functions=functions)
+        with pytest.raises(ValueError, match="unknown campaign key"):
+            harness.plan_specs("disk")
+
 
 class TestEndToEnd:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
@@ -107,6 +115,8 @@ class TestEndToEnd:
         results = harness.run_campaign(CAMPAIGN_KEYS[kind], max_specs=4,
                                        grade=False)
         assert len(results) == 4
+        assert results.meta["functions"] == \
+            sorted({r.function for r in results.results})
         activated = [r for r in results.results if r.activated]
         assert activated, "%s never delivered a fault" % kind
         for result in results.results:
