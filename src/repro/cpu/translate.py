@@ -233,8 +233,7 @@ def code_cache(kernel):
     """The :class:`CodeCache` of *kernel*, built on first use.
 
     Seeds the leaders with the union of CFG block leaders across all
-    kernel functions — a sweep costing ~75ms (BENCH_static.json), paid
-    once per kernel image.
+    kernel functions — a sweep paid once per kernel image.
     """
     cached = getattr(kernel, "_code_cache", None)
     if cached is not None:

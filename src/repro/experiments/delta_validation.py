@@ -17,18 +17,19 @@ size-preserving one-function edit sitting squarely on the trap path:
 
 Because the edit changes trap delivery, most *activated* records go
 live again ("trap-path") — the interesting measurement here is not
-the re-run fraction (``benchmarks/bench_delta.py`` gates that on a
-cold-path edit) but that the split is *sound*: whatever the planner
-dares to carry, the merged results must serialize identically to the
-from-scratch run.
-
-``--smoke`` runs a reduced campaign-A slice and gates: delta ==
-scratch bit-identically, at least one record carried, at least one
-site live, and every carried record stamped with provenance.
+the re-run fraction (tier-1
+``tests/test_delta_campaign.py::test_cold_path_delta_reruns_little``
+gates that on a cold-path edit) but that the split is *sound*:
+whatever the planner dares to carry, the merged results must
+serialize identically to the from-scratch run.  Tier-1
+``tests/test_delta_campaign.py::test_recovery_delta_equals_scratch``
+checks exactly that on this edit, with at least one site live and
+every carried record stamped with provenance, and
+``test_delta_composes_with_enrichment`` checks that one is carried.
 
 Run standalone::
 
-    python -m repro.experiments.delta_validation [--smoke]
+    python -m repro.experiments.delta_validation
 """
 
 import argparse
@@ -41,31 +42,23 @@ from repro.staticanalysis.delta import RECOVERY_GATE_EDIT
 
 DEFAULT_KEY = "A"
 
-#: The smoke slice: campaign A thinned to CI size (the same slice the
-#: fabric exhibit uses, so the two gates stay comparable).
-_SMOKE_STRIDE = 40
-_SMOKE_MAX_SPECS = 36
-
 #: Contexts whose scale has no preset (the report's stub context) get
-#: a minimal slice: equivalence is proved on a handful of injections.
-_FALLBACK_MAX_SPECS = 9
+#: a minimal slice, (byte stride, max specs): equivalence is proved on
+#: a handful of injections.
+_FALLBACK_SLICE = (40, 9)
 
 
 def _result_dicts(results):
     return [r.to_dict() for r in results]
 
 
-def study(ctx, key=DEFAULT_KEY, stride=None, max_specs=None,
-          source_edits=RECOVERY_GATE_EDIT, workdir=None):
+def study(ctx, key=DEFAULT_KEY, source_edits=RECOVERY_GATE_EDIT,
+          workdir=None):
     """Run base, delta and scratch; returns a digest."""
     from repro.experiments.context import SCALES
     from repro.kernel.build import build_kernel
-    if stride is None or max_specs is None:
-        preset = SCALES.get(ctx.scale, {}).get(key)
-        if preset is None:
-            preset = (_SMOKE_STRIDE, _FALLBACK_MAX_SPECS)
-        stride = preset[0] if stride is None else stride
-        max_specs = preset[1] if max_specs is None else max_specs
+    stride, max_specs = SCALES.get(ctx.scale, {}).get(key,
+                                                      _FALLBACK_SLICE)
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="delta_validation_")
 
@@ -96,7 +89,7 @@ def study(ctx, key=DEFAULT_KEY, stride=None, max_specs=None,
                                        max_specs=max_specs)
 
     plan = delta.meta["delta"]
-    carried_provenance = _carried_provenance(
+    stamped = carried_provenance(
         os.path.join(workdir, "delta.journal.jsonl"))
     return {
         "key": key,
@@ -107,7 +100,7 @@ def study(ctx, key=DEFAULT_KEY, stride=None, max_specs=None,
         "live": plan["live"],
         "rerun_fraction": plan["rerun_fraction"],
         "reasons": plan["reasons"],
-        "provenance_stamped": carried_provenance,
+        "provenance_stamped": stamped,
         "identical": _result_dicts(delta.results)
                      == _result_dicts(scratch.results),
         "base_outcomes": _pie(base.results),
@@ -120,7 +113,7 @@ def _pie(results):
     return dict(Counter(r.outcome for r in results))
 
 
-def _carried_provenance(journal_path):
+def carried_provenance(journal_path):
     """Count journal records carrying a well-formed provenance block."""
     import json
     wanted = ("source_journal", "base_kernel", "new_kernel")
@@ -164,53 +157,9 @@ def run(ctx, key=DEFAULT_KEY):
     return "\n".join(lines)
 
 
-def smoke_gate(ctx):
-    """The acceptance gate (reduced campaign-A slice).
-
-    Returns ``(ok, lines)``: the delta run over the recovery-gate
-    rebuild must serialize bit-identically to the from-scratch run,
-    carry at least one record (stamped with provenance), and leave at
-    least one site live (the edit genuinely impacts the plan).
-    """
-    digest = study(ctx, stride=_SMOKE_STRIDE,
-                   max_specs=_SMOKE_MAX_SPECS)
-    lines = ["%s slice (%d specs): carried %d, live %d "
-             "(fraction %.4f), delta vs scratch %s"
-             % (digest["key"], digest["n_specs"], digest["carried"],
-                digest["live"], digest["rerun_fraction"],
-                _verdict(digest["identical"]))]
-    ok = True
-    if not digest["identical"]:
-        lines.append("smoke FAILED: delta results differ from "
-                     "from-scratch results")
-        ok = False
-    if digest["carried"] < 1:
-        lines.append("smoke FAILED: no record carried forward")
-        ok = False
-    if digest["live"] < 1:
-        lines.append("smoke FAILED: recovery-gate edit left no site "
-                     "live")
-        ok = False
-    if digest["provenance_stamped"] != digest["carried"]:
-        lines.append("smoke FAILED: %d carried record(s) but %d "
-                     "provenance stamp(s) in the journal"
-                     % (digest["carried"],
-                        digest["provenance_stamped"]))
-        ok = False
-    if ok:
-        lines.append("smoke OK (changed: %s; trap path impacted: %d "
-                     "stub(s))"
-                     % (", ".join(digest["changed"]),
-                        len(digest["trap_impacted"])))
-    return ok, lines
-
-
 def main(argv=None):
     from repro.experiments.context import SCALES, ExperimentContext
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced campaign-A slice; gate delta == "
-                             "scratch bit-identity (CI)")
     parser.add_argument("--scale", default="quick",
                         choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=2003)
@@ -219,15 +168,9 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    scale = "tiny" if args.smoke else args.scale
-    ctx = ExperimentContext(scale=scale, seed=args.seed,
+    ctx = ExperimentContext(scale=args.scale, seed=args.seed,
                             results_dir=args.results_dir,
                             verbose=True, jobs=args.jobs)
-    if args.smoke:
-        ok, lines = smoke_gate(ctx)
-        for line in lines:
-            print(line)
-        return 0 if ok else 1
     print(run(ctx))
     return 0
 

@@ -22,13 +22,15 @@ freezes the state, and the chaos run — warm store — must boot **zero**
 times (`harness.boots == 0`), which is the acceptance criterion's
 "boot executed once per kernel/workload pair, not once per shard".
 
-``--smoke`` runs a reduced campaign-A slice and gates: fabric ==
-serial, chaos == serial (with >= 1 real SIGKILL delivered), and zero
-warm-store boots.
+Tier-1 holds each of these properties:
+``tests/test_fabric.py::TestCoordinator`` checks fabric == serial and
+chaos == serial with a real SIGKILL and worker failure, and
+``tests/test_golden_builders.py::test_cold_store_fabric_builds_on_pool_cores``
+checks that a warm-store fabric run boots nothing.
 
 Run standalone::
 
-    python -m repro.experiments.fabric_validation [--smoke]
+    python -m repro.experiments.fabric_validation
 """
 
 import argparse
@@ -46,34 +48,22 @@ from repro.injection.runner import InjectionHarness
 DEFAULT_KEY = "A"
 DEFAULT_SHARDS = 3
 
-#: The smoke slice: campaign A thinned to a couple of minutes for all
-#: three runs together (the tiny-scale preset is ~3x too slow to run
-#: three times in CI).
-_SMOKE_STRIDE = 40
-_SMOKE_MAX_SPECS = 36
-_SMOKE_CHAOS_KILLS = 1
-
 #: Contexts whose scale has no preset (the report's stub context) get
-#: a minimal slice: the exhibit still proves three-way equivalence,
-#: just on a handful of injections.
-_FALLBACK_MAX_SPECS = 9
+#: a minimal slice, (byte stride, max specs): the exhibit still proves
+#: three-way equivalence, just on a handful of injections.
+_FALLBACK_SLICE = (40, 9)
 
 
 def _result_dicts(results):
     return [r.to_dict() for r in results]
 
 
-def study(ctx, key=DEFAULT_KEY, shards=DEFAULT_SHARDS, stride=None,
-          max_specs=None, chaos_kills=_SMOKE_CHAOS_KILLS, pool=2,
-          workdir=None):
+def study(ctx, key=DEFAULT_KEY, shards=DEFAULT_SHARDS, chaos_kills=1,
+          pool=2, workdir=None):
     """Run the three-way equivalence experiment; returns a digest."""
     from repro.experiments.context import SCALES
-    if stride is None or max_specs is None:
-        preset = SCALES.get(ctx.scale, {}).get(key)
-        if preset is None:
-            preset = (_SMOKE_STRIDE, _FALLBACK_MAX_SPECS)
-        stride = preset[0] if stride is None else stride
-        max_specs = preset[1] if max_specs is None else max_specs
+    stride, max_specs = SCALES.get(ctx.scale, {}).get(key,
+                                                      _FALLBACK_SLICE)
     if workdir is None:
         workdir = tempfile.mkdtemp(prefix="fabric_validation_")
     store = SnapshotStore(os.path.join(workdir, "snapshots"))
@@ -160,54 +150,9 @@ def run(ctx, key=DEFAULT_KEY, shards=DEFAULT_SHARDS):
     return "\n".join(lines)
 
 
-def smoke_gate(ctx):
-    """The acceptance gate (reduced campaign-A slice).
-
-    Returns ``(ok, lines)``: serial, N-shard and shard-killed runs must
-    serialize bit-identically, at least one chaos SIGKILL must really
-    have been delivered, and the warm-store run must not boot at all.
-    """
-    digest = study(ctx, stride=_SMOKE_STRIDE,
-                   max_specs=_SMOKE_MAX_SPECS)
-    lines = ["%s slice (%d specs, %d shards): fabric %s, chaos %s"
-             % (digest["key"], digest["n_specs"], digest["shards"],
-                _verdict(digest["fabric_identical"]),
-                _verdict(digest["chaos_identical"]))]
-    ok = True
-    if not digest["fabric_identical"]:
-        lines.append("smoke FAILED: %d-shard fabric results differ "
-                     "from serial" % digest["shards"])
-        ok = False
-    if not digest["chaos_identical"]:
-        lines.append("smoke FAILED: chaos-killed fabric results "
-                     "differ from serial")
-        ok = False
-    if not digest["chaos_killed"]:
-        lines.append("smoke FAILED: chaos mode delivered no SIGKILL")
-        ok = False
-    if digest["chaos_worker_failures"] < 1:
-        lines.append("smoke FAILED: no worker failure recorded for "
-                     "the chaos kill")
-        ok = False
-    if digest["chaos_boots"] != 0:
-        lines.append("smoke FAILED: warm-store run booted %d times "
-                     "(want 0)" % digest["chaos_boots"])
-        ok = False
-    if ok:
-        lines.append("smoke OK (warm store: %d boots, %d store "
-                     "entries reused)"
-                     % (digest["chaos_boots"],
-                        digest["store_entries"]))
-    return ok, lines
-
-
 def main(argv=None):
     from repro.experiments.context import SCALES, ExperimentContext
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="reduced campaign-A slice; gate serial == "
-                             "N-shard == chaos-killed and zero "
-                             "warm-store boots (CI)")
     parser.add_argument("--scale", default="quick",
                         choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=2003)
@@ -217,15 +162,9 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    scale = "tiny" if args.smoke else args.scale
-    ctx = ExperimentContext(scale=scale, seed=args.seed,
+    ctx = ExperimentContext(scale=args.scale, seed=args.seed,
                             results_dir=args.results_dir,
                             verbose=True, jobs=args.jobs)
-    if args.smoke:
-        ok, lines = smoke_gate(ctx)
-        for line in lines:
-            print(line)
-        return 0 if ok else 1
     print(run(ctx, shards=args.shards))
     return 0
 

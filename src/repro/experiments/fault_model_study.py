@@ -17,11 +17,12 @@ downtime.
 
 Run standalone::
 
-    python -m repro.experiments.fault_model_study [--smoke]
+    python -m repro.experiments.fault_model_study
 
-``--smoke`` runs a tiny slice per model and gates on: every model
-yields at least one activated result, and serial == parallel ==
-resumed execution bit-identically.
+Tier-1 checks that every model activates
+(``tests/test_fault_models.py::TestEndToEnd``) and that serial,
+parallel and resumed runs are bit-identical
+(``tests/test_injection_determinism.py::TestFaultModelDeterminism``).
 """
 
 import argparse
@@ -32,7 +33,6 @@ from repro.experiments.recovery_study import (
     baseline_downtime,
     recovered_downtime,
 )
-from repro.injection.faultmodels import CAMPAIGN_KEYS
 from repro.injection.outcomes import (
     CRASH_HANG_OUTCOMES,
     CRASH_RECOVERED,
@@ -155,61 +155,9 @@ def run(ctx, kinds=DEFAULT_KINDS):
     return "\n".join(lines)
 
 
-def _dicts(results):
-    return [r.to_dict() for r in results.results]
-
-
-def smoke(ctx, kinds=DEFAULT_KINDS, max_specs=6, tmp_dir=None):
-    """CI gate; returns a list of failure strings (empty = pass).
-
-    Per model: at least one activated result, and serial, parallel
-    (2 workers) and interrupted-then-resumed execution all produce
-    bit-identical result lists.
-    """
-    import os
-    import tempfile
-
-    failures = []
-    tmp_dir = tmp_dir or tempfile.mkdtemp(prefix="fault_smoke_")
-    for kind in kinds:
-        def run(**kwargs):
-            return ctx.harness.run_campaign(
-                CAMPAIGN_KEYS[kind], seed=ctx.seed, max_specs=max_specs,
-                grade=False, **kwargs)
-
-        serial = run()
-        activated = sum(1 for r in serial.results if r.activated)
-        if activated == 0:
-            failures.append("%s: no activated result in %d specs"
-                            % (kind, len(serial)))
-        parallel = run(jobs=2)
-        if _dicts(parallel) != _dicts(serial):
-            failures.append("%s: parallel != serial" % kind)
-        journal_path = os.path.join(tmp_dir, "%s.jsonl" % kind)
-        interrupt_at = max(1, len(serial) // 2)
-
-        def interrupt(done, total, result):
-            if done == interrupt_at:
-                raise KeyboardInterrupt
-
-        try:
-            run(journal_path=journal_path, progress=interrupt)
-        except KeyboardInterrupt:
-            pass
-        resumed = run(journal_path=journal_path, resume=True)
-        if resumed.meta["engine"]["resumed_results"] == 0:
-            failures.append("%s: resume replayed nothing" % kind)
-        if _dicts(resumed) != _dicts(serial):
-            failures.append("%s: resumed != serial" % kind)
-    return failures
-
-
 def main(argv=None):
     from repro.experiments.context import SCALES, ExperimentContext
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="tiny per-model slices; gate on activation"
-                             " and serial == parallel == resumed")
     parser.add_argument("--scale", default="quick",
                         choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=2003)
@@ -218,19 +166,9 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    scale = "tiny" if args.smoke else args.scale
-    ctx = ExperimentContext(scale=scale, seed=args.seed,
+    ctx = ExperimentContext(scale=args.scale, seed=args.seed,
                             results_dir=args.results_dir,
                             verbose=True, jobs=args.jobs)
-    if args.smoke:
-        failures = smoke(ctx)
-        if failures:
-            for failure in failures:
-                print("smoke FAILED: %s" % failure, file=sys.stderr)
-            return 1
-        print("smoke OK: every fault model activated; serial =="
-              " parallel == resumed", file=sys.stderr)
-        return 0
     print(run(ctx))
     return 0
 

@@ -11,9 +11,11 @@ downtime bill.
 
 Run standalone::
 
-    python -m repro.experiments.recovery_study [--smoke]
+    python -m repro.experiments.recovery_study
 
-``--smoke`` runs only campaign A at the tiny scale (CI-sized).
+Tier-1 ``tests/test_recovery.py::TestRecoveryCampaign::
+test_fs_campaign_has_recovered_share`` checks that the recovery kernel
+survives at least one crash of a campaign-A fs slice.
 """
 
 import argparse
@@ -182,8 +184,6 @@ def run(ctx, keys=DEFAULT_KEYS):
 def main(argv=None):
     from repro.experiments.context import SCALES, ExperimentContext
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="campaign A only, tiny scale (CI)")
     parser.add_argument("--scale", default="quick",
                         choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=2003)
@@ -192,21 +192,10 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    scale = "tiny" if args.smoke else args.scale
-    keys = ("A",) if args.smoke else DEFAULT_KEYS
-    ctx = ExperimentContext(scale=scale, seed=args.seed,
+    ctx = ExperimentContext(scale=args.scale, seed=args.seed,
                             results_dir=args.results_dir,
                             verbose=True, jobs=args.jobs)
-    text = run(ctx, keys=keys)
-    print(text)
-    if args.smoke:
-        total = study(ctx, keys=keys)["total"]
-        if total["recovered"] == 0:
-            print("smoke FAILED: no CRASH_RECOVERED outcome observed",
-                  file=sys.stderr)
-            return 1
-        print("smoke OK: %d recovered crash(es)" % total["recovered"],
-              file=sys.stderr)
+    print(run(ctx))
     return 0
 
 

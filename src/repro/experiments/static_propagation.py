@@ -23,14 +23,15 @@ latency) and Figure 8 (cross-subsystem propagation):
 * the predicted-silent share of the plan (sites the solver proves can
   only fail silently — candidates for deprioritization).
 
-``--smoke`` is the CI gate the acceptance criteria name: a tiny-scale
-campaign A, fs slice — >= 80% of dumped fs crashes must have their
-actual trap class within the predicted set, and >= 70% of crashes with
-a measured latency must fall inside the static bound.
+Tier-1 ``tests/test_static_exhibit.py::TestFsSliceGate`` scores the
+fs slice of a tiny campaign A with :func:`score`: >= 80% of dumped fs
+crashes must have their actual trap class within the predicted set,
+and >= 70% of crashes with a measured latency must fall inside the
+static bound.
 
 Run standalone::
 
-    python -m repro.experiments.static_propagation [--smoke]
+    python -m repro.experiments.static_propagation
 """
 
 import argparse
@@ -48,11 +49,6 @@ from repro.staticanalysis.propagation import (
 )
 
 DEFAULT_KEYS = ("A", "B", "C")
-
-#: Minimum dumped crashes in the smoke slice for the gate to count.
-_SMOKE_MIN_SUPPORT = 5
-_SMOKE_TRAP_GATE = 0.80
-_SMOKE_LATENCY_GATE = 0.70
 
 #: Trap classes scored individually (TRAP_NONE has no crash to score).
 _SCORED_TRAPS = ("page_fault", "gpf", "invalid_opcode", "divide_error")
@@ -102,12 +98,18 @@ def _spread_hit(verdict, result):
 
 def study(ctx, keys=DEFAULT_KEYS):
     """Score the static verdicts against the campaigns' outcomes."""
-    analyzer = PropagationAnalyzer(ctx.kernel)
-    pairs = []
+    results = []
     for key in keys:
-        for result in ctx.campaign(key).results:
-            pairs.append((verdict_for(analyzer, result), result))
+        results.extend(ctx.campaign(key).results)
+    digest = score(PropagationAnalyzer(ctx.kernel), results)
+    digest["keys"] = list(keys)
+    return digest
 
+
+def score(analyzer, results):
+    """Score the static verdict of each of *results* against its
+    outcome; returns the digest :func:`run` renders."""
+    pairs = [(verdict_for(analyzer, r), r) for r in results]
     crashed = [(v, r) for v, r in pairs if r.outcome == CRASH_DUMPED]
     trap_hits = sum(1 for v, r in crashed if _trap_hit(v, r))
     timed = [(v, r) for v, r in crashed if r.latency is not None]
@@ -147,7 +149,6 @@ def study(ctx, keys=DEFAULT_KEYS):
     bounded = sum(1 for v, _ in pairs if v.latency_hi is not None)
 
     return {
-        "keys": list(keys),
         "total": len(pairs),
         "crashed": len(crashed),
         "trap_hits": trap_hits,
@@ -215,60 +216,9 @@ def run(ctx, keys=DEFAULT_KEYS):
     return "\n".join(lines)
 
 
-def smoke_gate(ctx, subsystem="fs"):
-    """The acceptance gate: tiny fs slice of campaign A.
-
-    Returns ``(ok, lines)`` where *lines* describe the measurement.
-    """
-    analyzer = PropagationAnalyzer(ctx.kernel)
-    crashed = []
-    for result in ctx.campaign("A").results:
-        if result.subsystem != subsystem:
-            continue
-        if result.outcome != CRASH_DUMPED:
-            continue
-        crashed.append((verdict_for(analyzer, result), result))
-
-    lines = []
-    if len(crashed) < _SMOKE_MIN_SUPPORT:
-        lines.append("smoke FAILED: only %d dumped %s crashes "
-                     "(need %d)" % (len(crashed), subsystem,
-                                    _SMOKE_MIN_SUPPORT))
-        return False, lines
-
-    trap_hits = sum(1 for v, r in crashed if _trap_hit(v, r))
-    timed = [(v, r) for v, r in crashed if r.latency is not None]
-    latency_hits = sum(
-        1 for v, r in timed
-        if latency_within_bounds(r.latency, v.latency_lo, v.latency_hi))
-
-    trap_rate = trap_hits / len(crashed)
-    lines.append("%s slice: trap containment %s, latency containment %s"
-                 % (subsystem, _rate(trap_hits, len(crashed)),
-                    _rate(latency_hits, len(timed))))
-    ok = True
-    if trap_rate < _SMOKE_TRAP_GATE:
-        lines.append("smoke FAILED: trap containment %.2f < %.2f"
-                     % (trap_rate, _SMOKE_TRAP_GATE))
-        ok = False
-    if timed:
-        latency_rate = latency_hits / len(timed)
-        if latency_rate < _SMOKE_LATENCY_GATE:
-            lines.append("smoke FAILED: latency containment %.2f < %.2f"
-                         % (latency_rate, _SMOKE_LATENCY_GATE))
-            ok = False
-    if ok:
-        lines.append("smoke OK")
-    return ok, lines
-
-
 def main(argv=None):
     from repro.experiments.context import SCALES, ExperimentContext
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="campaign A only at tiny scale, fs slice; "
-                             "gate trap containment >= 0.80 and "
-                             "latency containment >= 0.70 (CI)")
     parser.add_argument("--scale", default="quick",
                         choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=2003)
@@ -277,18 +227,10 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    scale = "tiny" if args.smoke else args.scale
-    keys = ("A",) if args.smoke else DEFAULT_KEYS
-    ctx = ExperimentContext(scale=scale, seed=args.seed,
+    ctx = ExperimentContext(scale=args.scale, seed=args.seed,
                             results_dir=args.results_dir,
                             verbose=True, jobs=args.jobs)
-    print(run(ctx, keys=keys))
-    if args.smoke:
-        ok, lines = smoke_gate(ctx)
-        for line in lines:
-            print(line, file=sys.stderr)
-        if not ok:
-            return 1
+    print(run(ctx))
     return 0
 
 

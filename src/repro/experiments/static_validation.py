@@ -22,13 +22,15 @@ PRED_UNKNOWN           none (reported, not scored)
 =====================  =============================================
 
 PRED_DEAD is the load-bearing one — ``--prune-dead`` drops those sites
-from the plan — so ``--smoke`` gates on its precision: it runs a
-targeted slice of predicted-dead fs sites through the real harness and
-fails unless >= 90% of the activated runs are NOT_MANIFESTED.
+from the plan — so tier-1 ``tests/test_static_predict.py::
+TestDynamicValidation::test_predicted_dead_sites_do_not_manifest`` runs
+a slice of covered predicted-dead fs sites (:func:`dead_slice_specs`)
+through the real harness and fails unless at least 5 of them activate
+and >= 90% of the activated runs are NOT_MANIFESTED.
 
 Run standalone::
 
-    python -m repro.experiments.static_validation [--smoke]
+    python -m repro.experiments.static_validation
 """
 
 import argparse
@@ -53,10 +55,6 @@ from repro.staticanalysis.predict import (
 )
 
 DEFAULT_KEYS = ("A", "B", "C")
-
-#: Minimum activated predicted-dead runs for the smoke gate to count.
-_SMOKE_MIN_SUPPORT = 5
-_SMOKE_MAX_RUNS = 40
 
 
 def _claim_holds(pred, result):
@@ -140,12 +138,12 @@ def study(ctx, keys=DEFAULT_KEYS):
     }
 
 
-def dead_slice_specs(ctx, subsystem="fs", limit=_SMOKE_MAX_RUNS):
+def dead_slice_specs(ctx, subsystem="fs", limit=10):
     """Covered, predicted-dead injection specs from *subsystem*.
 
     A random campaign slice can easily contain zero activated
-    PRED_DEAD sites (they are ~0.3% of the space), so the smoke gate
-    enumerates them directly: walk the subsystem's instructions,
+    PRED_DEAD sites (they are ~0.3% of the space), so this enumerates
+    them directly: walk the subsystem's instructions,
     classify every (byte, bit), and keep the dead sites the golden
     coverage says will actually execute.
     """
@@ -176,26 +174,6 @@ def dead_slice_specs(ctx, subsystem="fs", limit=_SMOKE_MAX_RUNS):
                         if len(specs) >= limit:
                             return specs
     return specs
-
-
-def smoke_dead_precision(ctx):
-    """Run the predicted-dead slice; returns (activated, benign).
-
-    The gate the acceptance criterion names: among *activated*
-    predicted-dead injections, the share ending NOT_MANIFESTED must
-    reach 0.9.
-    """
-    specs = dead_slice_specs(ctx)
-    harness = ctx.harness
-    activated = benign = 0
-    for spec in specs:
-        result = harness.run_spec(spec)
-        if result.outcome == NOT_ACTIVATED:
-            continue
-        activated += 1
-        if result.outcome == NOT_MANIFESTED:
-            benign += 1
-    return activated, benign
 
 
 def run(ctx, keys=DEFAULT_KEYS):
@@ -241,9 +219,6 @@ def run(ctx, keys=DEFAULT_KEYS):
 def main(argv=None):
     from repro.experiments.context import SCALES, ExperimentContext
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="campaign A only at tiny scale, plus the "
-                             "predicted-dead precision gate (CI)")
     parser.add_argument("--scale", default="quick",
                         choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=2003)
@@ -252,28 +227,10 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    scale = "tiny" if args.smoke else args.scale
-    keys = ("A",) if args.smoke else DEFAULT_KEYS
-    ctx = ExperimentContext(scale=scale, seed=args.seed,
+    ctx = ExperimentContext(scale=args.scale, seed=args.seed,
                             results_dir=args.results_dir,
                             verbose=True, jobs=args.jobs)
-    print(run(ctx, keys=keys))
-    if args.smoke:
-        activated, benign = smoke_dead_precision(ctx)
-        if activated < _SMOKE_MIN_SUPPORT:
-            print("smoke FAILED: only %d activated predicted-dead "
-                  "runs (need %d)" % (activated, _SMOKE_MIN_SUPPORT),
-                  file=sys.stderr)
-            return 1
-        precision = benign / activated
-        print("predicted-dead slice: %d activated, %d benign "
-              "(precision %.2f)" % (activated, benign, precision),
-              file=sys.stderr)
-        if precision < 0.9:
-            print("smoke FAILED: PRED_DEAD precision %.2f < 0.90"
-                  % precision, file=sys.stderr)
-            return 1
-        print("smoke OK", file=sys.stderr)
+    print(run(ctx))
     return 0
 
 

@@ -20,15 +20,15 @@ symbolic propagation analyzer (PR 4) is held against:
   from flip to first visible divergence) — the paper's Figure 7 axis
   re-measured at event granularity instead of from dump timestamps.
 
-``--smoke`` is the CI gate the acceptance criteria name: on the tiny
-fs slice of campaign A, >= 95% of activated crashes must carry a
-measured flip-to-divergence latency, and the trace-measured latency
-must fall within the static bounds at least as often as the
-``static_propagation`` smoke gate requires (>= 70%).
+Tier-1 ``tests/test_static_exhibit.py::TestFsSliceGate`` scores the
+fs slice of a tiny traced campaign A with :func:`score`: >= 95% of
+dumped crashes must carry a measured flip-to-divergence latency, and
+the trace-measured latency must fall within the static bounds at least
+as often as the ``static_propagation`` containment requires (>= 70%).
 
 Run standalone::
 
-    python -m repro.experiments.trace_validation [--smoke]
+    python -m repro.experiments.trace_validation
 """
 
 import argparse
@@ -48,11 +48,6 @@ from repro.staticanalysis.propagation import (
 )
 
 DEFAULT_KEYS = ("A",)
-
-#: Minimum dumped crashes in the smoke slice for the gate to count.
-_SMOKE_MIN_SUPPORT = 5
-_SMOKE_MEASURED_GATE = 0.95
-_SMOKE_LATENCY_GATE = 0.70
 
 
 def measured_flip_to_trap(result):
@@ -84,11 +79,17 @@ def _spread_hit(verdict, result):
 
 def study(ctx, keys=DEFAULT_KEYS):
     """Score the trace measurements against the static verdicts."""
-    analyzer = PropagationAnalyzer(ctx.kernel)
     results = []
     for key in keys:
         results.extend(ctx.traced_campaign(key).results)
+    digest = score(PropagationAnalyzer(ctx.kernel), results)
+    digest["keys"] = list(keys)
+    return digest
 
+
+def score(analyzer, results):
+    """Score the trace measurements of traced *results* against their
+    static verdicts; returns the digest :func:`run` renders."""
     activated = [r for r in results if r.outcome != NOT_ACTIVATED]
     diverged = [r for r in activated if r.trace_diverged]
     crashed = [r for r in activated if r.outcome == CRASH_DUMPED]
@@ -123,7 +124,6 @@ def study(ctx, keys=DEFAULT_KEYS):
     complete = sum(1 for r in activated if r.trace_complete)
 
     return {
-        "keys": list(keys),
         "total": len(results),
         "activated": len(activated),
         "diverged": len(diverged),
@@ -175,65 +175,9 @@ def run(ctx, keys=DEFAULT_KEYS):
     return "\n".join(lines)
 
 
-def smoke_gate(ctx, subsystem="fs"):
-    """The acceptance gate: tiny fs slice of campaign A.
-
-    Returns ``(ok, lines)`` where *lines* describe the measurement.
-    """
-    analyzer = PropagationAnalyzer(ctx.kernel)
-    crashed = [r for r in ctx.traced_campaign("A").results
-               if r.subsystem == subsystem
-               and r.outcome == CRASH_DUMPED]
-
-    lines = []
-    if len(crashed) < _SMOKE_MIN_SUPPORT:
-        lines.append("smoke FAILED: only %d dumped %s crashes "
-                     "(need %d)" % (len(crashed), subsystem,
-                                    _SMOKE_MIN_SUPPORT))
-        return False, lines
-
-    measured = [r for r in crashed
-                if r.trace_flip_to_divergence_cycles is not None]
-    timed = [(analyzer.analyze_site(r.function, r.addr, r.byte_offset,
-                                    r.bit),
-              measured_flip_to_trap(r))
-             for r in crashed if measured_flip_to_trap(r) is not None]
-    latency_hits = sum(
-        1 for v, cycles in timed
-        if latency_within_bounds(cycles, v.latency_lo, v.latency_hi))
-
-    measured_rate = len(measured) / len(crashed)
-    lines.append("%s slice: measured divergence %s, "
-                 "static-bound containment %s"
-                 % (subsystem, _rate(len(measured), len(crashed)),
-                    _rate(latency_hits, len(timed))))
-    ok = True
-    if measured_rate < _SMOKE_MEASURED_GATE:
-        lines.append("smoke FAILED: measured-divergence share %.2f < %.2f"
-                     % (measured_rate, _SMOKE_MEASURED_GATE))
-        ok = False
-    if timed:
-        latency_rate = latency_hits / len(timed)
-        if latency_rate < _SMOKE_LATENCY_GATE:
-            lines.append("smoke FAILED: latency containment %.2f < %.2f"
-                         % (latency_rate, _SMOKE_LATENCY_GATE))
-            ok = False
-    else:
-        lines.append("smoke FAILED: no crash has a measured "
-                     "flip->trap distance")
-        ok = False
-    if ok:
-        lines.append("smoke OK")
-    return ok, lines
-
-
 def main(argv=None):
     from repro.experiments.context import SCALES, ExperimentContext
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--smoke", action="store_true",
-                        help="campaign A only at tiny scale, fs slice; "
-                             "gate measured-divergence share >= 0.95 "
-                             "and static-bound containment >= 0.70 (CI)")
     parser.add_argument("--scale", default="quick",
                         choices=sorted(SCALES))
     parser.add_argument("--seed", type=int, default=2003)
@@ -242,17 +186,10 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args(argv)
 
-    scale = "tiny" if args.smoke else args.scale
-    ctx = ExperimentContext(scale=scale, seed=args.seed,
+    ctx = ExperimentContext(scale=args.scale, seed=args.seed,
                             results_dir=args.results_dir,
                             verbose=True, jobs=args.jobs)
     print(run(ctx))
-    if args.smoke:
-        ok, lines = smoke_gate(ctx)
-        for line in lines:
-            print(line, file=sys.stderr)
-        if not ok:
-            return 1
     return 0
 
 

@@ -31,10 +31,6 @@ from repro.injection.campaigns import (
 )
 from repro.injection.runner import CampaignResults, GoldenRun, \
     InjectionHarness
-from repro.injection.register_campaign import (
-    RegisterInjectionSpec,
-    plan_register_campaign,
-)
 from repro.injection.severity import SEVERITY_DOWNTIME, grade_severity
 
 __all__ = [
@@ -59,6 +55,4 @@ __all__ = [
     "InjectionHarness",
     "SEVERITY_DOWNTIME",
     "grade_severity",
-    "RegisterInjectionSpec",
-    "plan_register_campaign",
 ]

@@ -46,6 +46,10 @@ from repro.injection.outcomes import HARNESS_ERROR, InjectionResult
 #: interpreter itself is wedged.
 DEFAULT_TIMEOUT = 300.0
 
+#: Seconds a failed experiment waits per failed attempt before its
+#: retry is leased.
+BACKOFF = 0.25
+
 #: How a worker failure is reported in the HARNESS_ERROR repro bundle.
 KIND_EXCEPTION = "harness_exception"
 KIND_WORKER_DIED = "worker_died"
@@ -55,15 +59,14 @@ KIND_WORKER_TIMEOUT = "worker_timeout"
 class EngineConfig:
     """Tuning knobs for :class:`CampaignEngine`."""
 
-    __slots__ = ("jobs", "timeout", "retries", "backoff",
-                 "max_worker_failures", "journal_path", "resume")
+    __slots__ = ("jobs", "timeout", "retries", "max_worker_failures",
+                 "journal_path", "resume")
 
-    def __init__(self, jobs=1, timeout=None, retries=2, backoff=0.25,
+    def __init__(self, jobs=1, timeout=None, retries=2,
                  max_worker_failures=3, journal_path=None, resume=False):
         self.jobs = max(1, int(jobs))
         self.timeout = DEFAULT_TIMEOUT if timeout is None else timeout
         self.retries = max(0, int(retries))
-        self.backoff = backoff
         self.max_worker_failures = max(1, int(max_worker_failures))
         self.journal_path = journal_path
         self.resume = resume
@@ -629,9 +632,8 @@ class _SpecPool(WorkerPool):
     def __init__(self, engine, specs, grade, seed, results, journal,
                  progress, meta):
         config = engine.config
-        WorkerPool.__init__(self, config.jobs, config.retries,
-                            config.backoff, config.max_worker_failures,
-                            meta)
+        WorkerPool.__init__(self, config.jobs, config.retries, BACKOFF,
+                            config.max_worker_failures, meta)
         self.engine = engine
         self.specs = specs
         self.grade = grade

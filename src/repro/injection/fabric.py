@@ -187,8 +187,7 @@ class ShardJournal(CampaignJournal):
 
 def run_shard(harness, campaign_key, specs, seed, byte_stride, shard,
               journal_path, grade=True, jobs=1, resume=True,
-              progress=None, timeout=None, retries=2,
-              max_worker_failures=3):
+              progress=None):
     """Execute one shard of a planned campaign; returns
     ``(results, engine_meta)`` with *results* ordered by the shard's
     local index.
@@ -201,9 +200,8 @@ def run_shard(harness, campaign_key, specs, seed, byte_stride, shard,
     """
     subset = [specs[i] for i in shard.indices]
     journal = ShardJournal(journal_path, shard)
-    config = EngineConfig(jobs=jobs, timeout=timeout, retries=retries,
-                          max_worker_failures=max_worker_failures,
-                          journal_path=journal_path, resume=resume)
+    config = EngineConfig(jobs=jobs, journal_path=journal_path,
+                          resume=resume)
     engine = CampaignEngine(harness, config)
     return engine.execute(campaign_key, subset, seed, byte_stride,
                           grade=grade, progress=progress,
@@ -544,16 +542,20 @@ def _intern_decoded(checkpoints, memo):
 # coordinator
 # ---------------------------------------------------------------------------
 
+#: A chaos victim SIGKILLs itself after journaling this many results.
+CHAOS_AFTER = 1
+
+
 class FabricConfig:
     """Tuning knobs for :class:`FabricCoordinator`."""
 
     __slots__ = ("pool", "shard_jobs", "lease_timeout", "retries",
                  "backoff", "max_worker_failures", "chaos_kills",
-                 "chaos_after", "chaos_seed")
+                 "chaos_seed")
 
     def __init__(self, pool=2, shard_jobs=1, lease_timeout=120.0,
                  retries=2, backoff=0.25, max_worker_failures=None,
-                 chaos_kills=0, chaos_after=1, chaos_seed=0):
+                 chaos_kills=0, chaos_seed=0):
         self.pool = max(1, int(pool))
         self.shard_jobs = max(1, int(shard_jobs))
         self.lease_timeout = lease_timeout
@@ -561,11 +563,10 @@ class FabricConfig:
         self.backoff = backoff
         self.max_worker_failures = max_worker_failures
         #: Chaos mode: SIGKILL this many shard workers mid-run (each
-        #: victim dies after journaling *chaos_after* results on its
-        #: first attempt), exercising lease revocation, retry-with-
+        #: victim dies after journaling :data:`CHAOS_AFTER` results on
+        #: its first attempt), exercising lease revocation, retry-with-
         #: resume and the merger's replay tolerance end to end.
         self.chaos_kills = int(chaos_kills)
-        self.chaos_after = max(1, int(chaos_after))
         self.chaos_seed = chaos_seed
 
 
@@ -812,12 +813,12 @@ class FabricCoordinator:
         if not config.chaos_kills:
             return
         eligible = [s.index for s in shards
-                    if len(s.indices) > config.chaos_after]
+                    if len(s.indices) > CHAOS_AFTER]
         rng = random.Random("fabric-chaos:%s" % config.chaos_seed)
         victims = sorted(rng.sample(
             eligible, min(config.chaos_kills, len(eligible))))
         for index in victims:
-            tasks[index].chaos_after = config.chaos_after
+            tasks[index].chaos_after = CHAOS_AFTER
         meta["chaos_killed"] = victims
 
     # -- serial paths --------------------------------------------------------

@@ -14,7 +14,7 @@ planner / runner / journal pipeline unchanged:
   time into the current kernel stack frame, the buffer/page-cache
   data pages, or the in-memory inode table.
 * ``reg``          — register flip at the trigger instruction
-  (campaign R, now riding the shared spec pipeline).
+  (campaign R).
 * ``reg_trap``     — register flip delivered at the *next trap or
   interrupt entry* after the trigger, landing in the saved context
   exactly as a hardware fault during trap delivery would.
@@ -46,9 +46,10 @@ from repro.isa.decoder import decode_all
 from repro.isa.registers import REG_NAMES
 
 #: Campaign key per plannable fault-model kind (the instruction models
-#: keep the paper's A/B/C keys and the register extension keeps R).
+#: keep the paper's A/B/C keys).
 CAMPAIGN_KEYS = {
     "mem": "M",
+    "reg": "R",
     "reg_trap": "RT",
     "intermittent": "I",
     "disk": "D",
@@ -61,8 +62,8 @@ FAULT_KINDS = tuple(sorted(CAMPAIGN_KEYS))
 KIND_OF_KEY = {key: kind for kind, key in CAMPAIGN_KEYS.items()}
 
 #: Registers worth corrupting (esp excluded: a corrupted stack pointer
-#: reduces to the same few double-fault cases — see register_campaign).
-DEFAULT_REGS = (0, 1, 2, 3, 5, 6, 7)
+#: reduces to the same few double-fault cases).
+DEFAULT_REGS = (0, 1, 2, 3, 5, 6, 7)   # eax ecx edx ebx ebp esi edi
 
 
 class FaultModel:
@@ -432,6 +433,39 @@ def plan_memory_campaign(kernel, profile, seed=2003, per_function=3):
     return specs
 
 
+def plan_register_campaign(kernel, profile, seed=2003, per_function=6,
+                           regs=DEFAULT_REGS, functions=None):
+    """Campaign R: register flips at sampled trigger instructions.
+
+    For each function of *functions* (by default campaign A's),
+    *per_function* trigger instructions are sampled uniformly from its
+    body; each gets one random (register, bit) pick.  ``byte_offset``
+    holds the register index, the coordinate campaign-R journals have
+    always recorded.
+    """
+    rng = random.Random("R-%d" % seed)
+    if functions is None:
+        functions = _hot_functions(kernel, profile)
+    specs = []
+    for info in functions:
+        code = kernel.code[info.start - kernel.base:
+                           info.end - kernel.base]
+        instrs = [i for i in decode_all(code, base=info.start)
+                  if i.op != "(bad)"]
+        for ins in rng.sample(instrs, min(per_function, len(instrs))):
+            reg = rng.choice(regs)
+            bit = rng.randrange(32)
+            specs.append(InjectionSpec(
+                campaign="R", function=info.name,
+                subsystem=info.subsystem, instr_addr=ins.addr,
+                instr_len=1, byte_offset=reg, bit=bit,
+                mnemonic="reg:%s" % REG_NAMES[reg],
+                fault_model={"kind": "reg", "v": 1, "reg": reg,
+                             "bit": bit}))
+    specs.sort(key=lambda s: (s.instr_addr, s.byte_offset, s.bit))
+    return specs
+
+
 def plan_reg_trap_campaign(kernel, profile, seed=2003, per_function=2,
                            regs=DEFAULT_REGS):
     """Campaign RT: register flips delivered at trap/syscall entry."""
@@ -515,6 +549,7 @@ def plan_disk_campaign(kernel, profile, seed=2003, per_function=None):
 
 _PLANNERS = {
     "mem": plan_memory_campaign,
+    "reg": plan_register_campaign,
     "reg_trap": plan_reg_trap_campaign,
     "intermittent": plan_intermittent_campaign,
     "disk": plan_disk_campaign,

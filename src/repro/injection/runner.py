@@ -46,17 +46,21 @@ from repro.injection.outcomes import (
     InjectionResult,
     crash_cause_name,
 )
-from repro.injection.register_campaign import plan_register_campaign
 from repro.injection.severity import grade_severity
 from repro.kernel.layout import KernelLayout
 from repro.machine.machine import Machine, build_standard_disk
-from repro.tracing import DEFAULT_CHANNELS, diff_traces
+from repro.tracing import diff_traces
 
 
 #: Console marker separating boot from benchmark execution; the
 #: injector is armed only once the marker has appeared (the paper
 #: injects into a running system).
 BOOT_MARKER = "INIT: starting workload"
+
+#: An injected run's watchdog budget past boot, in cycles: this many
+#: times its golden run's workload cycles, plus a fixed slack.
+WATCHDOG_FACTOR = 3
+WATCHDOG_SLACK = 250_000
 
 
 def _console_subsumes(golden_text, observed_text):
@@ -174,12 +178,12 @@ class InjectionHarness:
 
     With ``trace=True`` every post-boot run (golden and injected)
     carries the execution flight recorder (:mod:`repro.tracing`) on
-    *trace_channels*, and each activated result is enriched with the
+    its default channels in an unbounded ring, as exact divergence
+    measurement wants, and each activated result is enriched with the
     golden-vs-injected divergence measurements (the ``trace_*`` fields
     of :class:`InjectionResult`).  Tracing is purely observational —
     outcomes, latencies and consoles are bit-identical to an untraced
-    harness.  *trace_capacity* bounds the ring (``None`` = unbounded,
-    which exact divergence measurement wants).
+    harness.
 
     With ``disk_retries > 0`` every machine boots with the IDE
     driver's bounded retry/backoff path armed
@@ -190,15 +194,12 @@ class InjectionHarness:
     fail-stop driver), a retrying driver, and the recovery kernel.
     """
 
-    def __init__(self, kernel, binaries, profile, watchdog_factor=3,
-                 watchdog_slack=250_000, recovery=False, trace=False,
-                 trace_channels=DEFAULT_CHANNELS, trace_capacity=None,
-                 disk_retries=0, snapshot_store=None, translate=True):
+    def __init__(self, kernel, binaries, profile, recovery=False,
+                 trace=False, disk_retries=0, snapshot_store=None,
+                 translate=True):
         self.kernel = kernel
         self.binaries = binaries
         self.profile = profile
-        self.watchdog_factor = watchdog_factor
-        self.watchdog_slack = watchdog_slack
         self.recovery = recovery
         self.disk_retries = disk_retries
         self.trace = trace
@@ -209,8 +210,6 @@ class InjectionHarness:
         #: key; ``translate=False`` builds the interpreted reference
         #: the differential tests compare against.
         self.translate = bool(translate)
-        self.trace_channels = tuple(trace_channels)
-        self.trace_capacity = trace_capacity
         #: Optional :class:`~repro.injection.fabric.SnapshotStore`:
         #: post-boot golden state is thawed from / frozen into it so a
         #: kernel/workload pair boots once per store, not once per
@@ -291,8 +290,7 @@ class InjectionHarness:
             # freezes, so the golden trace and every per-experiment
             # clone's trace start from the same machine state and
             # align stamp-for-stamp.
-            machine.enable_trace(channels=self.trace_channels,
-                                 capacity=self.trace_capacity)
+            machine.enable_trace()
         coverage = {}
         checkpoints = []
         result = machine.run(max_cycles=120_000_000, coverage=coverage,
@@ -511,8 +509,7 @@ class InjectionHarness:
         state = {}
         try:
             if self.trace:
-                machine.enable_trace(channels=self.trace_channels,
-                                     capacity=self.trace_capacity)
+                machine.enable_trace()
             if model is not None:
                 model.arm(self, machine, spec, state)
             else:
@@ -524,8 +521,8 @@ class InjectionHarness:
                 machine.arm_breakpoint(spec.instr_addr, callback)
             # Anchored at the end of boot, wherever the clone starts.
             budget = golden.boot_cycles \
-                + golden.workload_cycles * self.watchdog_factor \
-                + self.watchdog_slack
+                + golden.workload_cycles * WATCHDOG_FACTOR \
+                + WATCHDOG_SLACK
             result = machine.run(max_cycles=budget)
         finally:
             machine.close()
@@ -812,16 +809,14 @@ class InjectionHarness:
         executing anything.
 
         *campaign_key* is one of the paper's instruction-flip campaigns
-        (A, B, C), a fault-model campaign
-        (:data:`~repro.injection.faultmodels.CAMPAIGN_KEYS`: M, RT, I,
-        D) or the register campaign R.  R triggers in *functions*, by
-        default campaign A's.  A fault model picks its own triggers
-        (campaign A's functions; the disk model its fixed fs/driver
-        entries), so it takes no *functions* and returns the ones its
-        specs trigger in.  Both take *max_per_function* as the number
-        of faults planned per function.  *static_verdicts* annotates
-        instruction-flip plans only: the verdict models an
-        instruction flip.
+        (A, B, C) or a fault-model campaign
+        (:data:`~repro.injection.faultmodels.CAMPAIGN_KEYS`: M, R, RT,
+        I, D).  A fault model picks its own triggers (campaign A's
+        functions; the disk model its fixed fs/driver entries), so it
+        takes no *functions*, returns the ones its specs trigger in,
+        and takes *max_per_function* as the number of faults planned
+        per function.  *static_verdicts* annotates instruction-flip
+        plans only: the verdict models an instruction flip.
         """
         if campaign_key in KIND_OF_KEY:
             if functions is not None:
@@ -835,27 +830,17 @@ class InjectionHarness:
             names = {spec.function for spec in specs}
             return ([f for f in self.kernel.functions if f.name in names],
                     specs)
-        if campaign_key not in CAMPAIGNS and campaign_key != "R":
+        if campaign_key not in CAMPAIGNS:
             raise ValueError("unknown campaign key %r (have %s)" % (
                 campaign_key,
-                ", ".join(sorted(CAMPAIGNS) + ["R"] + sorted(KIND_OF_KEY))))
+                ", ".join(sorted(CAMPAIGNS) + sorted(KIND_OF_KEY))))
         if functions is None:
-            functions = select_targets(
-                self.kernel, self.profile,
-                campaign_key if campaign_key in CAMPAIGNS else "A")
-        if campaign_key == "R":
-            per_function = {}
-            if max_per_function is not None:
-                per_function["per_function"] = max_per_function
-            specs = [spec.to_injection_spec()
-                     for spec in plan_register_campaign(
-                         self.kernel, functions, seed=seed,
-                         **per_function)]
-        else:
-            specs = plan_campaign(self.kernel, campaign_key, functions,
-                                  seed=seed, byte_stride=byte_stride,
-                                  max_per_function=max_per_function,
-                                  static_verdicts=static_verdicts)
+            functions = select_targets(self.kernel, self.profile,
+                                       campaign_key)
+        specs = plan_campaign(self.kernel, campaign_key, functions,
+                              seed=seed, byte_stride=byte_stride,
+                              max_per_function=max_per_function,
+                              static_verdicts=static_verdicts)
         if max_specs is not None:
             specs = specs[:max_specs]
         return functions, specs

@@ -89,9 +89,9 @@ golden run, so a wedge wedges identically.  The one documented
 approximation is user-space feedback: a kernel fault that smashes
 user memory badly enough to repoint user control flow is bounded by
 the user binaries' own syscall stubs, not modeled instruction-by-
-instruction.  The ``delta_validation`` exhibit and
-``benchmarks/bench_delta.py`` both gate the end result — delta ==
-from-scratch **bit-identically** — on every CI run.
+instruction.  Tier-1 ``tests/test_delta_campaign.py`` gates the end
+result — delta == from-scratch **bit-identically** — on the
+recovery-gate rebuild and on a cold-path ``sys_stat`` edit.
 
 Carried records enter the new journal through
 :meth:`~repro.injection.engine.CampaignJournal.record_carried` with a

@@ -38,7 +38,8 @@ For each site the solver emits a :class:`SiteVerdict`:
 Verdicts are *may* analyses: the trap set over-approximates, the lower
 bound under-approximates, the upper bound over-approximates.  The
 ``static_propagation`` exhibit scores them against the dynamic
-campaigns and ``--smoke`` gates the two acceptance rates in CI.
+campaigns, and tier-1 ``tests/test_static_exhibit.py`` gates its trap
+and latency containment on a campaign-A fs slice.
 """
 
 import hashlib

@@ -27,9 +27,9 @@ import pytest
 from repro.cpu.cpu import WatchdogExpired
 from repro.injection.campaigns import InjectionSpec, plan_campaign, \
     select_targets
-from repro.injection.faultmodels import plan_fault_model_campaign
+from repro.injection.faultmodels import plan_fault_model_campaign, \
+    plan_register_campaign
 from repro.injection.outcomes import HANG
-from repro.injection.register_campaign import plan_register_campaign
 from repro.injection.runner import GoldenRun, InjectionHarness
 from repro.machine import machine as machine_module
 from repro.machine.machine import CHECKPOINT_EVERY
@@ -84,8 +84,8 @@ def checkpoint_pool(harness, kernel_name):
     for kind in ("mem", "reg_trap", "intermittent", "disk"):
         pool += rng.sample(plan_fault_model_campaign(
             kernel, profile, kind, seed=SEED), 2)
-    registers = plan_register_campaign(kernel, functions, seed=SEED)
-    pool += [r.to_injection_spec() for r in rng.sample(registers, 2)]
+    pool += rng.sample(plan_register_campaign(
+        kernel, profile, seed=SEED, functions=functions), 2)
     multi = copy.deepcopy(rng.choice(sites))
     multi.fault_model = {"kind": "instr", "v": 1,
                          "bits": [[0, 2], [0, 5]]}

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.injection.faultmodels import CAMPAIGN_KEYS, FAULT_KINDS
+
 
 def test_campaign_slice_is_deterministic(harness):
     from repro.injection.campaigns import plan_campaign, select_targets
@@ -98,25 +100,21 @@ class TestFaultModelDeterminism:
 
     @staticmethod
     def _run(harness, kind, **kwargs):
-        from repro.injection.faultmodels import CAMPAIGN_KEYS
         merged = dict(TestFaultModelDeterminism.CAMPAIGN)
         merged.update(kwargs)
         return harness.run_campaign(CAMPAIGN_KEYS[kind], **merged)
 
     @pytest.fixture(scope="class")
     def serials(self, harness):
-        from repro.injection.faultmodels import FAULT_KINDS
         return {kind: self._run(harness, kind) for kind in FAULT_KINDS}
 
-    @pytest.mark.parametrize("kind",
-                             ("disk", "intermittent", "mem", "reg_trap"))
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_parallel_matches_serial(self, harness, serials, kind):
         parallel = self._run(harness, kind, jobs=2)
         assert ([r.to_dict() for r in parallel.results]
                 == [r.to_dict() for r in serials[kind].results])
 
-    @pytest.mark.parametrize("kind",
-                             ("disk", "intermittent", "mem", "reg_trap"))
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_translated_matches_serial(self, interpreted_harness,
                                        serials, kind):
         # The serial runs go through the default translated fast
@@ -126,8 +124,7 @@ class TestFaultModelDeterminism:
         assert ([r.to_dict() for r in interpreted.results]
                 == [r.to_dict() for r in serials[kind].results])
 
-    @pytest.mark.parametrize("kind",
-                             ("disk", "intermittent", "mem", "reg_trap"))
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_resume_matches_serial(self, harness, serials, kind,
                                    tmp_path):
         journal_path = str(tmp_path / ("%s.jsonl" % kind))

@@ -3,30 +3,44 @@
 import pytest
 
 from repro.injection.campaigns import select_targets
-from repro.injection.register_campaign import plan_register_campaign
+from repro.injection.engine import plan_fingerprint
+from repro.injection.faultmodels import plan_register_campaign
 
 
 class TestPlan:
     def test_plan_is_deterministic_and_bounded(self, kernel, profile):
-        functions = select_targets(kernel, profile, "A")
-        first = plan_register_campaign(kernel, functions, seed=5)
-        second = plan_register_campaign(kernel, functions, seed=5)
-        assert [(s.instr_addr, s.reg, s.bit) for s in first] \
-            == [(s.instr_addr, s.reg, s.bit) for s in second]
+        first = plan_register_campaign(kernel, profile, seed=5)
+        second = plan_register_campaign(kernel, profile, seed=5)
+        assert [s.to_dict() for s in first] \
+            == [s.to_dict() for s in second]
         from collections import Counter
         per_function = Counter(s.function for s in first)
         assert max(per_function.values()) <= 6
 
     def test_esp_excluded_by_default(self, kernel, profile):
-        functions = select_targets(kernel, profile, "A")
-        specs = plan_register_campaign(kernel, functions)
-        assert all(s.reg != 4 for s in specs)
+        specs = plan_register_campaign(kernel, profile)
+        assert all(s.fault_model["reg"] != 4 for s in specs)
 
     def test_reg_names(self, kernel, profile):
         functions = select_targets(kernel, profile, "A")[:2]
-        specs = plan_register_campaign(kernel, functions)
-        assert all(s.reg_name in ("eax", "ecx", "edx", "ebx", "ebp",
-                                  "esi", "edi") for s in specs)
+        specs = plan_register_campaign(kernel, profile,
+                                       functions=functions)
+        assert all(s.mnemonic in ("reg:eax", "reg:ecx", "reg:edx",
+                                  "reg:ebx", "reg:ebp", "reg:esi",
+                                  "reg:edi") for s in specs)
+
+    @pytest.mark.parametrize("seed, caps, fingerprint", [
+        (2003, {}, "8955169ea005b8e8"),
+        (5, {}, "219d099bb5362878"),
+        (2003, {"max_per_function": 3, "max_specs": 40},
+         "8b9ebb2b87dccaa9"),
+    ])
+    def test_fingerprint_is_pinned(self, harness, seed, caps,
+                                   fingerprint):
+        """Campaign R plans spec for spec as it always has, so its
+        journals keep their fingerprint and still resume."""
+        _, specs = harness.plan_specs("R", seed=seed, **caps)
+        assert plan_fingerprint("R", specs, seed, 1) == fingerprint
 
 
 class TestRun:
@@ -42,16 +56,13 @@ class TestRun:
             assert result.campaign == "R"
             assert result.mnemonic.startswith("reg:")
 
-    def test_high_bit_of_ebp_usually_fatal(self, kernel, harness,
+    def test_high_bit_of_ebp_usually_fatal(self, harness, kernel,
                                            profile):
         """Flipping ebp's top bit mid-function dereferences wild memory."""
-        functions = select_targets(kernel, profile, "A")
-        specs = plan_register_campaign(kernel, functions,
-                                       per_function=30)
-        target = next(s for s in specs if s.reg == 5)
-        target.bit = 31
-        result = harness.run_spec(target.to_injection_spec(),
-                                  grade=False)
+        specs = plan_register_campaign(kernel, profile, per_function=30)
+        target = next(s for s in specs if s.fault_model["reg"] == 5)
+        target.bit = target.fault_model["bit"] = 31
+        result = harness.run_spec(target, grade=False)
         if result.activated:
             assert result.outcome in ("crash_dumped", "crash_unknown",
                                       "hang", "fail_silence_violation",
@@ -68,10 +79,8 @@ class TestCampaign:
     def test_equals_the_planned_specs_run_one_by_one(self, kernel,
                                                       profile, harness,
                                                       serial):
-        functions = select_targets(kernel, profile, "A")
-        specs = plan_register_campaign(kernel, functions)[:6]
-        expected = [harness.run_spec(s.to_injection_spec(),
-                                     grade=False).to_dict()
+        specs = plan_register_campaign(kernel, profile)[:6]
+        expected = [harness.run_spec(s, grade=False).to_dict()
                     for s in specs]
         assert [r.to_dict() for r in serial.results] == expected
 

@@ -2,7 +2,10 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.analysis.oops import static_verdict_section
+from repro.experiments import static_propagation, trace_validation
 from repro.experiments.static_propagation import (
     _rate,
     _spread_hit,
@@ -70,6 +73,38 @@ class TestScoringHelpers:
         bare = _result(function="getblk", addr=info.start)
         verdict = verdict_for(analyzer, bare)
         assert verdict.traps
+
+
+@pytest.fixture(scope="module")
+def fs_slice(traced_harness):
+    """The fs results of a tiny traced campaign A (seed 2003, stride
+    40, 120 specs).  Tracing leaves outcomes and latencies
+    bit-identical, so both exhibits score the same results; neither
+    reads the fsck grade."""
+    results = traced_harness.run_campaign(
+        "A", seed=2003, byte_stride=40, max_specs=120,
+        grade=False).results
+    return [r for r in results if r.subsystem == "fs"]
+
+
+class TestFsSliceGate:
+    def test_propagation_verdicts_contain_the_crashes(self, kernel,
+                                                      fs_slice):
+        digest = static_propagation.score(PropagationAnalyzer(kernel),
+                                          fs_slice)
+        assert digest["crashed"] >= 5, digest
+        assert digest["trap_hits"] / digest["crashed"] >= 0.80, digest
+        assert digest["timed"] >= 1, digest
+        assert digest["latency_hits"] / digest["timed"] >= 0.70, digest
+
+    def test_trace_measures_and_bounds_the_crashes(self, kernel,
+                                                   fs_slice):
+        digest = trace_validation.score(PropagationAnalyzer(kernel),
+                                        fs_slice)
+        assert digest["crashed"] >= 5, digest
+        assert digest["measured"] / digest["crashed"] >= 0.95, digest
+        assert digest["timed"] >= 1, digest
+        assert digest["latency_hits"] / digest["timed"] >= 0.70, digest
 
 
 class TestKsymoopsStaticSection:
