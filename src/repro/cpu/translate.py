@@ -26,20 +26,23 @@ tiers serve a trace head:
 2. *threaded* — then its trace is discovered and bound as its decoded
    instructions and their handlers, run one after another by
    ``_step_one``'s body minus the fetch (:func:`_threaded`), behind
-   the same guard and invalidation as a compiled trace;
+   the same invalidation as a compiled trace, stopping exactly at the
+   event horizon;
 3. *compiled* — once the trace's template has been dispatched
    :data:`COMPILE_DISPATCHES` times in the process, its source is
    generated and compiled, and the threaded binding that noticed is
-   swapped for the compiled one in place.
+   swapped for the compiled one in place.  The template keeps its
+   threaded program for the dispatches the compiled trace's guard
+   refuses.
 
 A threaded trace runs every handler with the interpreter's own
 per-instruction commits, so it is bit-identical by construction; it
-only skips the fetch and the per-instruction event checks, which the
-guard proves dead.  Heat counts and templates live in one
-:class:`CodeCache` per kernel image (:func:`code_cache`): every machine
-cloned from a kernel shares them, forked campaign workers inherit
-them, and a template is revalidated against the raw code bytes before
-reuse.
+only skips the fetch and the per-instruction event checks, which
+cannot fire below the horizon it stops at.  Heat counts and templates
+live in one :class:`CodeCache` per kernel image (:func:`code_cache`):
+every machine cloned from a kernel shares them, forked campaign
+workers inherit them, and a template is revalidated against the raw
+code bytes before reuse.
 
 The generated code exploits what the interpreter cannot: within a
 block, ``cycles``/``instret`` retires are *batched* into compile-time
@@ -64,12 +67,13 @@ Bit-identity contract (the differential harness in
   cannot fire there: dispatch maintains an *event horizon* (the
   nearest of watchdog, next timer tick, armed alarm — every
   interpreter threshold test is ``>=``, so ``cycles + worst <
-  horizon`` proves the elided checks dead) and refuses to enter a
-  block that could cross it, or that contains a DR0 breakpoint
-  address — those cases, like cold heads, fall back to single-step
-  interpretation (``_step_one``, a verbatim copy of the interpreter
-  loop body).  A threaded trace's ``worst`` sums :func:`_cost` over
-  its instructions, which bounds a compiled trace's from above;
+  horizon`` proves the elided checks dead).  A compiled trace that
+  could cross the horizon falls back to its threaded program, which
+  tests ``cycles >= horizon`` after every instruction and stops at
+  that boundary.  Dispatch refuses a block that contains a DR0
+  breakpoint address; that case, like cold heads, falls back to
+  single-step interpretation (``_step_one``, a verbatim copy of the
+  interpreter loop body);
 * instructions that can enable interrupts, redirect control, or change
   paging/debug state terminate their block, so no IRQ window or
   breakpoint map change can open mid-block;
@@ -125,11 +129,11 @@ HOT_DISPATCHES = 4
 COMPILE_DISPATCHES = 128
 
 #: cap on a trace's worst-case interior cycle cost.  The dispatcher
-#: only enters a trace when ``cycles + worst`` stays below the event
-#: horizon (next timer tick / alarm / watchdog), so an oversized worst
-#: would strand dispatch in single-step mode for a long window before
-#: every tick; 120 cycles against the 20000-cycle timer keeps that
-#: window under ~1% of a tick.
+#: only enters a compiled trace when ``cycles + worst`` stays below the
+#: event horizon (next timer tick / alarm / watchdog), and runs its
+#: threaded program otherwise, so an oversized worst would leave a
+#: long window before every tick to the slower tier; 120 cycles
+#: against the 20000-cycle timer keeps that window under ~1% of a tick.
 WORST_CAP = 120
 
 #: Ops after which a block must end.  Control transfers (the block must
@@ -257,14 +261,16 @@ def code_cache(kernel):
 class Template:
     """A discovered trace, independent of any machine.
 
-    Until it is compiled, ``items`` holds the discovered ``(ins,
-    kind)`` run (see :func:`_gen_source`) and ``seq`` the threaded
-    program built from it; ``runs`` counts the threaded dispatches of
-    the trace in this process, and ``worst`` is the threaded guard's
-    bound.  :meth:`compile` replaces ``items`` and ``seq`` with
+    ``seq`` is the threaded program built from the discovered run;
+    until it is compiled, ``items`` holds that ``(ins, kind)`` run
+    (see :func:`_gen_source`).  ``runs`` counts the threaded
+    dispatches of the trace in this process, and ``worst`` bounds the
+    threaded trace's cost.  :meth:`compile` replaces ``items`` with
     ``make`` (a factory binding the compiled trace to one machine) and
-    tightens ``worst`` to the compiled trace's.  A negative template (untranslatable head,
-    e.g. a rep-string resume) has neither.
+    tightens ``worst`` to the compiled trace's; ``seq`` stays, for the
+    dispatches the compiled trace's guard refuses.  A negative
+    template (untranslatable head, e.g. a rep-string resume) has
+    neither.
     """
 
     __slots__ = ("spans", "raw", "eips", "user", "end", "items", "seq",
@@ -296,12 +302,12 @@ class Template:
 
     def compile(self):
         """Generate and compile the trace's source, dropping the
-        threaded program (bindings made from it keep their own)."""
+        discovered run."""
         source, generics, self.worst = _gen_source(self.items, self.user,
                                                    self.end)
         self.make = _compile(source)
         self.generics = tuple(generics)
-        self.items = self.seq = None
+        self.items = None
 
 
 def _threaded(tpl, watch):
@@ -309,9 +315,11 @@ def _threaded(tpl, watch):
     exactly as ``_step_one`` runs it, minus the fetch.
 
     The trace goes on while every instruction lands on its successor
-    in the trace and no store has evicted a block (``watch.stale``);
-    otherwise it stops at that instruction boundary with the
-    interpreter's exact state, like the compiled trace's side exits.
+    in the trace, no store has evicted a block (``watch.stale``) and
+    the cycle counter is below the event horizon dispatch computed
+    (``watch.horizon``); otherwise it stops at that instruction
+    boundary with the interpreter's exact state, like the compiled
+    trace's side exits, and dispatch runs the event head there.
     A trap escapes with ``eip`` at the trapping instruction for
     dispatch to deliver.  Returns the template once it is due for
     compiling, else ``None``.  The closure holds the template and the
@@ -322,6 +330,7 @@ def _threaded(tpl, watch):
 
     def block(cpu):
         tpl.runs += 1
+        horizon = watch.horizon
         for ins, run, eip, fallthrough, nxt in seq:
             cpu.next_eip = fallthrough
             run(cpu, ins)
@@ -333,7 +342,7 @@ def _threaded(tpl, watch):
                 tb = cpu.trace_branch
                 if tb is not None:
                     tb(eip, new_eip)
-            if new_eip != nxt or watch.stale:
+            if new_eip != nxt or watch.stale or cpu.cycles >= horizon:
                 break
         if tpl.runs >= COMPILE_DISPATCHES:
             return tpl
@@ -344,18 +353,22 @@ def _threaded(tpl, watch):
 class Block:
     """One translated straight-line run.
 
-    ``fn`` is the compiled trace or a threaded binding
-    (:func:`_threaded`); it is ``None`` for negative entries
-    (untranslatable heads, e.g. rep-string resumes) cached so dispatch
-    skips rediscovery; negative entries still register their bytes so
-    stores invalidate them like any block.
+    ``fn`` is the compiled trace or the threaded binding
+    (:func:`_threaded`), ``threaded`` always the threaded binding: it
+    serves the dispatches whose horizon ``fn``'s guard refuses, and a
+    block is compiled exactly when ``fn`` is not ``threaded``.  Both
+    are ``None`` for negative entries (untranslatable heads, e.g.
+    rep-string resumes) cached so dispatch skips rediscovery; negative
+    entries still register their bytes so stores invalidate them like
+    any block.
     """
 
-    __slots__ = ("key", "fn", "worst", "eips", "ranges")
+    __slots__ = ("key", "fn", "threaded", "worst", "eips", "ranges")
 
-    def __init__(self, key, fn, worst, eips):
+    def __init__(self, key, fn, threaded, worst, eips):
         self.key = key
         self.fn = fn
+        self.threaded = threaded
         self.worst = worst
         self.eips = eips
         self.ranges = ()
@@ -431,7 +444,7 @@ def _read_slow(cpu, ea, size, user, c, i, eip, *flags):
     return v
 
 
-def _write_slow(cpu, ea, wv, user, c, i, eip, *flags):
+def _write_slow(cpu, ea, wv, size, user, c, i, eip, *flags):
     """MMU slow path of an inlined store; also serves an armed CPL0
     ``trace_write`` hook, fired before the access cycle as the
     interpreter does."""
@@ -443,9 +456,9 @@ def _write_slow(cpu, ea, wv, user, c, i, eip, *flags):
     if not user:
         tw = cpu.trace_write
         if tw is not None:
-            tw(ea, 4, wv)
+            tw(ea, size, wv)
     cpu.cycles += 1
-    cpu.bus.write(ea, 4, wv, user)
+    cpu.bus.write(ea, size, wv & ((1 << 8 * size) - 1), user)
     cpu.cycles -= c + 1
     cpu.instret -= i
 
@@ -595,13 +608,15 @@ class _Emit:
         self.pc += 1  # the access cycle, batched
         self.wc += 1
 
-    def emit_write(self, addr, ea_src, val_src):
-        """Inline ``mem_write(ea, 4, wv)`` (may raise Trap).
+    def emit_write(self, addr, ea_src, val_src, size=4):
+        """Inline ``mem_write(ea, size, wv)`` (may raise Trap).
 
-        The fallback also serves runs with the trace_write hook armed
-        (CPL0): it commits the counters the hook must observe, fires
-        the hook, and routes the store through the bus — mirroring
-        the interpreter's ordering exactly.
+        *val_src* is the value the interpreter hands ``mem_write``,
+        which the ``trace_write`` hook sees; a byte store's is a byte
+        already.  The fallback also serves runs with the trace_write
+        hook armed (CPL0): it commits the counters the hook must
+        observe, fires the hook, and routes the store through the bus
+        — mirroring the interpreter's ordering exactly.
         """
         self.mem = True
         self.put("ea = " + ea_src)
@@ -611,22 +626,29 @@ class _Emit:
         if not self.user:
             self.put("if cpu.trace_write is None:")
             fast = 1
-        self.put("if paging and ea & 4095 <= 4092:", fast)
+        if size == 4:
+            self.put("if paging and ea & 4095 <= 4092:", fast)
+        else:
+            self.put("if paging:", fast)
         self.put("e = tlb.get(ea >> 12)", fast + 1)
         self.put("if e is not None:", fast + 1)
         self.put("pfn, pfl = e", fast + 2)
         self.put("if %s:" % ("pfl & 6 == 6" if self.user else "pfl & 2"),
                  fast + 2)
         self.put("ph = pfn << 12 | (ea & 4095)", fast + 3)
-        self.put("if ph + 4 <= RS:", fast + 3)
-        self.put("P32(ram, ph, wv)", fast + 4)
+        self.put("if ph + %d <= RS:" % size, fast + 3)
+        if size == 4:
+            self.put("P32(ram, ph, wv)", fast + 4)
+        else:
+            self.put("ram[ph] = wv", fast + 4)
         self.put("versions[ph >> 12] += 1", fast + 4)
         self.put("if ph >> 12 in wpages:", fast + 4)
-        self.put("watch.note_write(ph, 4)", fast + 5)
+        self.put("watch.note_write(ph, %d)" % size, fast + 5)
         self.put("ok = True", fast + 4)
         self.put("if not ok:")
-        self.put("WRS(cpu, ea, wv, %s, %d, %d, %d%s)"
-                 % (self.user, self.pc, self.pi, addr, self.fargs()), 1)
+        self.put("WRS(cpu, ea, wv, %d, %s, %d, %d, %d%s)"
+                 % (size, self.user, self.pc, self.pi, addr,
+                    self.fargs()), 1)
         self.pc += 1  # the access cycle, batched
         self.wc += 1
         self.wrote = True
@@ -650,6 +672,10 @@ def _flags_tail(em, d, writeback):
     if writeback:
         em.put("regs[%d] = res" % d)
     em.flags = True
+
+
+#: ``(size, source kind)`` of the ``mov`` stores emitted inline.
+_STORE_SOURCES = frozenset([(4, "r"), (4, "i"), (1, "r8"), (1, "i")])
 
 
 def _emit_mid(em, ins):
@@ -748,13 +774,17 @@ def _emit_mid(em, ins):
             em.pi += 1
             return
 
-    if op == "mov" and ins.size == 4 and dst is not None \
-            and dst[0] == "m" and src[0] in ("r", "i"):
+    if op == "mov" and dst is not None and dst[0] == "m" \
+            and (ins.size, src[0]) in _STORE_SOURCES:
         if src[0] == "i":
             val = "%d" % (src[1] & M32)
-        else:
+        elif src[0] == "r":
             val = "regs[%d]" % src[1]
-        em.emit_write(ins.addr, _ea_expr(dst[1]), val)
+        elif src[1] < 4:
+            val = "regs[%d] & 255" % src[1]
+        else:   # ah, ch, dh, bh
+            val = "regs[%d] >> 8 & 255" % (src[1] & 3)
+        em.emit_write(ins.addr, _ea_expr(dst[1]), val, ins.size)
         em.pc += 1
         em.pi += 1
         return
@@ -1196,6 +1226,9 @@ class BlockCache:
         #: instruction boundary instead of running stale to the end.
         #: Dispatch clears it before entering each block.
         self.stale = False
+        #: the event horizon of the dispatch running a trace; a
+        #: threaded trace stops at the first boundary at or past it.
+        self.horizon = 0
         bus.code_watch = self
 
     # -- telemetry ------------------------------------------------------
@@ -1308,13 +1341,10 @@ class BlockCache:
 
     def _materialize(self, cpu, key, tpl):
         """Bind a template to this machine and cache the Block."""
-        if tpl.make is not None:
-            fn = self._bind(cpu, tpl)
-        elif tpl.seq is not None:
-            fn = _threaded(tpl, self)
-        else:
-            fn = None   # a negative template
-        block = Block(key, fn, tpl.worst, tpl.eips)
+        # A negative template has no threaded program: fn stays None.
+        threaded = _threaded(tpl, self) if tpl.seq is not None else None
+        fn = self._bind(cpu, tpl) if tpl.make is not None else threaded
+        block = Block(key, fn, threaded, tpl.worst, tpl.eips)
         if len(self.blocks) >= self.max_blocks:
             self.flush()
         if not self._register(block, cpu, tpl.spans):
@@ -1325,15 +1355,15 @@ class BlockCache:
             self.threaded += 1
         return block
 
-    def _translate(self, cpu, eip, key, tkey, horizon):
+    def _translate(self, cpu, eip, key, tkey):
         """Bind the trace of the hot head ``eip`` that dispatch missed.
         ``tkey`` is the head's ``(eip, user)`` heat and template key.
 
         The trace is bound threaded until its template is due for
-        compiling; a due template is compiled here only if the trace
-        can run right now (the threaded guard, which bounds the
-        compiled one, passes), else it is bound threaded and compiled
-        by the first dispatch that runs it (:meth:`_promote`).
+        compiling; a due template is compiled here unless it holds an
+        armed DR0 address, which keeps dispatch out of the trace, else
+        it is bound threaded and compiled by the first dispatch that
+        runs it (:meth:`_promote`).
 
         Returns the cached :class:`Block`, or ``None`` to interpret
         this instruction: the head is undecodable (the single-step
@@ -1355,8 +1385,7 @@ class BlockCache:
         if tpl.make is None and tpl.seq is not None \
                 and tpl.runs >= COMPILE_DISPATCHES:
             bp = cpu.bp_addrs
-            if cpu.cycles + tpl.worst < horizon \
-                    and (not bp or tpl.eips.isdisjoint(bp)):
+            if not bp or tpl.eips.isdisjoint(bp):
                 tpl.compile()
                 self.compiled += 1
         return self._materialize(cpu, key, tpl)
@@ -1364,11 +1393,11 @@ class BlockCache:
     def _promote(self, cpu, block, tpl):
         """Swap the threaded binding of ``block``, whose template is
         due, for its compiled trace, compiling the template first if no
-        machine has yet.  The dispatch that just ran the threaded trace
-        passed its guard, which bounds the compiled trace's, so no
-        compile is spent on a trace that could not run.  A block its
-        own run evicted is left to rediscovery."""
-        if self.blocks.get(block.key) is not block:
+        machine has yet.  A block its own run evicted is left to
+        rediscovery, and a compiled block whose guard refused the
+        dispatch (it ran its threaded program) is already promoted."""
+        if self.blocks.get(block.key) is not block \
+                or block.fn is not block.threaded:
             return
         if tpl.make is None:
             tpl.compile()
@@ -1527,11 +1556,13 @@ class BlockCache:
         The outer loop replicates the interpreter's event head
         (watchdog, timer, alarm) verbatim and folds the three
         thresholds into a single *event horizon*; the inner loop then
-        dispatches blocks with one compare — ``cycles + worst <
-        horizon`` — plus the IRQ-window and DR0 checks.  Every
-        threshold test in the interpreter is ``>=``, so staying
-        strictly below the horizon proves the elided per-instruction
-        checks could not have fired.  Any event, hook, trap, or
+        dispatches blocks behind the IRQ-window and DR0 checks.  A
+        compiled trace runs where ``cycles + worst < horizon``, and
+        its threaded program everywhere else: that program tests
+        ``cycles >= horizon`` after each instruction and stops there.
+        Every threshold test in the interpreter is ``>=``, so a trace
+        that goes on only below the horizon skips only checks that
+        could not have fired.  Any event, hook, trap, or
         untranslatable head drops back to the outer loop (or to
         single-step interpretation), so state-changing paths always
         re-derive the horizon.
@@ -1568,6 +1599,7 @@ class BlockCache:
                 if cpu.alarm_cycle is not None \
                         and cpu.alarm_cycle < horizon:
                     horizon = cpu.alarm_cycle
+                self.horizon = horizon
                 while True:
                     irq = cpu.pending_irq and cpu.if_flag
                     if irq:
@@ -1606,16 +1638,17 @@ class BlockCache:
                         dispatched = heat.get(tkey, 0) + 1
                         heat[tkey] = dispatched
                         if dispatched >= hot:
-                            block = self._translate(cpu, eip, key, tkey,
-                                                    horizon)
+                            block = self._translate(cpu, eip, key, tkey)
                     else:
                         hits += 1
                     if block is not None and block.fn is not None \
-                            and cpu.cycles + block.worst < horizon \
                             and (not bp or block.eips.isdisjoint(bp)):
+                        fn = block.fn
+                        if cpu.cycles + block.worst >= horizon:
+                            fn = block.threaded
                         self.stale = False
                         try:
-                            due = block.fn(cpu)
+                            due = fn(cpu)
                         except Trap as trap:
                             cpu.cycles += 10
                             return_eip = (trap.return_eip

@@ -10,7 +10,6 @@ an interrupted campaign from its journal in the results directory.
 """
 
 import argparse
-import os
 import sys
 
 from repro.experiments import ExperimentContext, build_report

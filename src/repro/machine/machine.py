@@ -419,40 +419,30 @@ class Machine:
         with loop periods, as real sampling profilers do.  Samples before
         *skip_cycles* are discarded (lets profiling exclude boot, like
         the paper's steady-state Kernprof runs).
+
+        The sampler is the CPU's cycle alarm, re-armed *sample_interval*
+        cycles after each sample: it fires at the first instruction
+        boundary at or past its cycle, after the timer test and before
+        a pending interrupt is taken, so each sample is the EIP at
+        which a run cut into windows of *sample_interval* cycles (each
+        ``cpu.run(cpu.cycles + sample_interval)``) would stop.  Both
+        engines honour the alarm exactly.
         """
         cpu = self.cpu
         samples = []
-        status = exit_code = None
-        detail = ""
+
+        def sample(cpu):
+            if cpu.cycles >= skip_cycles:
+                samples.append(cpu.eip)
+            cpu.alarm_cycle = cpu.cycles + sample_interval
+            cpu.on_alarm = sample
+
+        cpu.alarm_cycle = cpu.cycles + sample_interval
+        cpu.on_alarm = sample
         try:
-            while cpu.cycles < max_cycles:
-                try:
-                    cpu.run(min(cpu.cycles + sample_interval, max_cycles))
-                except WatchdogExpired:
-                    if cpu.cycles >= max_cycles:
-                        raise
-                if cpu.cycles >= skip_cycles:
-                    samples.append(cpu.eip)
-            raise WatchdogExpired("profiling budget exhausted")
-        except MachineShutdown as stop:
-            status, exit_code = "shutdown", stop.code
-        except CpuHalted as stop:
-            status, detail = "halted", str(stop)
-        except WatchdogExpired as stop:
-            status, detail = "watchdog", str(stop)
-        except TripleFault as stop:
-            status, detail = "triple_fault", str(stop)
-        crashes = [CrashRecord(words) for words in self.dump.records]
-        result = RunResult(status, exit_code, self.console.text,
-                           crashes[-1] if crashes else None,
-                           cpu.cycles, cpu.instret,
-                           bytes(self.disk.image), detail,
-                           crashes=crashes,
-                           trace=(self.tracer.snapshot()
-                                  if self.tracer is not None else None),
-                           translation=(self.block_cache.stats()
-                                        if self.block_cache is not None
-                                        else None))
+            result = self.run(max_cycles)
+        finally:
+            cpu.alarm_cycle = cpu.on_alarm = None
         return result, samples
 
 
@@ -724,15 +714,17 @@ class _Checkpointer:
 def shared_boot(kernel, images, window, limit):
     """Boot once for several disk images; the snapshot to clone each from.
 
-    Boots ``images[0]`` in windows of *window* cycles, each stopping at
-    the first instruction boundary at or past ``cycles + window``, as
-    :meth:`Machine.run_sampled` does, and records disk transfers.  A
-    snapshot is kept every :data:`SHARED_BOOT_KEEP_EVERY` cycles or so.
-    The boot stops after the window that first transfers a sector in
-    which the images differ, or that ends at or past *limit*; the last
-    snapshot kept before it is returned, and
-    :meth:`MachineSnapshot.clone` with ``disk=image`` continues it as
-    the boot of any of the images.
+    Boots ``images[0]`` on a translating machine in windows of *window*
+    cycles, each stopping at the first instruction boundary at or past
+    ``cycles + window``, where :meth:`Machine.run_sampled` samples, and
+    records disk transfers.  A snapshot is kept every
+    :data:`SHARED_BOOT_KEEP_EVERY` cycles or so.  The boot stops after
+    the window that first transfers a sector in which the images
+    differ, or that ends at or past *limit*; the last snapshot kept
+    before it is returned, and :meth:`MachineSnapshot.clone` with
+    ``disk=image`` continues it as the boot of any of the images, on a
+    translating machine too.  The boot warms the kernel's code cache
+    (:func:`repro.cpu.translate.code_cache`) for the clones.
 
     Returns ``None`` when fewer than two images are given, their
     lengths differ, or the boot stopped before the first snapshot.
@@ -746,7 +738,7 @@ def shared_boot(kernel, images, window, limit):
     differ = {at // size for at in range(0, len(first), size)
               if any(image[at:at + size] != first[at:at + size]
                      for image in images[1:])}
-    machine = Machine(kernel, first)
+    machine = Machine(kernel, first, translate=True)
     machine.disk.transferred = record = {}
     cpu = machine.cpu
     kept = None

@@ -110,6 +110,15 @@ def profile_kernel(kernel, binaries, workloads, sample_interval=211,
     samples and end before *skip_boot_cycles*, so the profile is
     bit-identical to one that boots every workload from reset.
 
+    Every machine translates, which leaves the samples exactly as the
+    interpreter takes them (the sampler rides the cycle alarm, which
+    both engines honour at the same instruction boundary).  The code
+    cache this warms is the kernel's
+    (:func:`repro.cpu.translate.code_cache`), so machines built on
+    *kernel* afterwards, campaign clones and forked workers among
+    them, start from the heat, templates and compiled traces the
+    profile left.
+
     Args:
         kernel: built :class:`~repro.kernel.build.KernelImage`.
         binaries: name -> UserBinary (must include init and workloads).
@@ -136,7 +145,7 @@ def profile_kernel(kernel, binaries, workloads, sample_interval=211,
             if index == len(disks) - 1:
                 shared = None       # its RAM copy is not needed again
         else:
-            machine = Machine(kernel, disk)
+            machine = Machine(kernel, disk, translate=True)
         result, samples = machine.run_sampled(
             max_cycles=max_cycles, sample_interval=sample_interval,
             skip_cycles=skip_boot_cycles)

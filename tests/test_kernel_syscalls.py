@@ -1,7 +1,5 @@
 """Syscall-level behaviour, driven by purpose-built user programs."""
 
-import pytest
-
 from tests.helpers import USER_PRELUDE, run_user_program
 
 

@@ -147,6 +147,30 @@ class TestPinnedTiers:
             assert any(makes)
 
 
+class TestWarmCodeCache:
+    """The profiler leaves the kernel's code cache warm, and every
+    campaign on that kernel inherits it.  Blocks then bind, and fill
+    the TLB, at other points than on a cold cache; the results must
+    not notice."""
+
+    def test_profile_warmed_cache_equals_cold(self, binaries):
+        from repro.injection.runner import InjectionHarness
+        from repro.kernel.build import build_kernel
+        from repro.profiling.sampler import profile_kernel
+        from repro.userland.programs import WORKLOADS
+        warm = build_kernel()
+        profile = profile_kernel(warm, binaries, WORKLOADS)
+        assert code_cache(warm).templates
+        runs = []
+        for kernel in (warm, build_kernel()):
+            harness = InjectionHarness(kernel, binaries, profile,
+                                       recovery=True)
+            runs.append(_dicts(harness.run_campaign(
+                "A", seed=2003, byte_stride=40, max_specs=12)))
+        assert len(runs[0]) == 12
+        assert runs[0] == runs[1]
+
+
 # ----------------------------------------------------------------------
 # timer-IRQ boundaries
 # ----------------------------------------------------------------------

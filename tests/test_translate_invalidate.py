@@ -23,7 +23,7 @@ import hashlib
 import pytest
 
 from repro.cpu.cpu import CPU, CpuHalted, WatchdogExpired
-from repro.cpu.memory import MemoryBus
+from repro.cpu.memory import MemoryBus, PageTableBuilder
 from repro.cpu.translate import BlockCache
 from repro.isa.assembler import assemble
 
@@ -266,3 +266,60 @@ patch:
 
 class TestSelfModifyingStoreThreaded(TestSelfModifyingStore):
     compile_dispatches = NEVER
+
+
+@pytest.mark.usefixtures("pinned_tiers")
+class TestByteStores:
+    """Compiled ``mov m8, r8`` / ``mov m8, imm8`` stores on a paged code
+    page: one rewrites an immediate of the running trace, the others
+    land beside the code.  With ``trace_write`` armed every store takes
+    the slow path, whose hook must see what the interpreter's does at
+    the same counters; unarmed they take the inline path."""
+
+    SRC = """
+_start:
+    mov eax, 0
+    mov ecx, 40
+    mov ebx, data
+loop:
+    mov edx, ecx
+    and edx, 7
+    mov byte [patch + 2], dl
+patch:
+    add eax, 1
+    mov byte [ebx], cl
+    mov byte [ebx + 1], ch
+    mov byte [ebx + 2], 0x5a
+    dec ecx
+    jne loop
+    hlt
+data:
+    .long 0
+"""
+
+    def _run(self, translate, armed):
+        cpu, _, cache = build(self.SRC, translate=translate)
+        tables = PageTableBuilder(cpu.bus, 0x80000)
+        tables.map_range(0, 0, 0x10000)
+        tables.activate()
+        writes = []
+        if armed:
+            cpu.trace_write = lambda ea, size, value: writes.append(
+                (ea, size, value, cpu.cycles, cpu.instret, cpu.eip))
+        drive(cpu, cache, [(b, []) for b in range(5, 200, 13)])
+        return fingerprint(cpu), writes, cache
+
+    @pytest.mark.parametrize("armed", (True, False),
+                             ids=("trace_write", "inline"))
+    def test_byte_stores_match_interpreter(self, armed):
+        fp_i, writes_i, _ = self._run(False, armed)
+        fp_t, writes_t, cache = self._run(True, armed)
+        assert fp_t == fp_i
+        assert writes_t == writes_i
+        assert len(writes_i) == (160 if armed else 0)
+        assert fp_i[0][0] == sum(n & 7 for n in range(1, 41))
+        assert cache.compiled > 0 and cache.invalidations > 0
+        for ways in cache.code.templates.values():
+            for tpl in ways:
+                assert not any(ins.op == "mov" and ins.size == 1
+                               for ins, _run in tpl.generics)

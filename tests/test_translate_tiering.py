@@ -4,14 +4,17 @@ A trace head is interpreted until dispatch has met it
 ``HOT_DISPATCHES`` times; its trace is then bound *threaded* (its
 decoded instructions run by their handlers), and compiled once its
 template has been dispatched threaded ``COMPILE_DISPATCHES`` times.
-Both tiers run only where the guard lets the trace run: below the
-event horizon, with no DR0 address inside (and, just before a timer
-tick, a head without a template is not even discovered).  These tests
-pin the rules on a counted loop whose head is dispatched once per
-iteration, and check that every tier stays bit-identical to the
-interpreter: through a flip on cold code, a trap and a self-modifying
-store inside a threaded trace, and a template compiled by another
-machine while this one still holds its threaded binding.
+A compiled trace runs only where its guard keeps it below the event
+horizon; a threaded trace runs at any horizon and stops at the first
+instruction boundary at or past it, and it serves a compiled block's
+refused dispatches.  Neither runs with a DR0 address inside (and, just
+before a timer tick, a head without a template is not even
+discovered).  These tests pin the rules on a counted loop whose head
+is dispatched once per iteration, and check that every tier stays
+bit-identical to the interpreter: through a horizon inside a trace, a
+flip on cold code, a trap and a self-modifying store inside a threaded
+trace, and a template compiled by another machine while this one
+still holds its threaded binding.
 """
 
 import hashlib
@@ -139,45 +142,58 @@ def test_template_compiled_when_its_compile_dispatch_returns():
     assert fingerprint(cpu) == reference(iterations)
 
 
-def test_threaded_trace_not_entered_where_horizon_refuses():
+def test_threaded_trace_stops_at_the_first_boundary_past_the_horizon():
     n = translate.HOT_DISPATCHES
     iterations = 2 * n
     cpu, program, cache = build(iterations, translate_=True)
-    # The budget ends where the bound trace would reach: that dispatch,
-    # and every later one in the iteration, is refused by the horizon,
-    # so the trace is bound but never entered.
-    budget = PROLOGUE + ITER * (n - 1) + THREADED_WORST
+    # The N-th dispatch binds the head threaded two cycles before the
+    # budget, far inside the trace's worst: the trace runs `add` and
+    # `nop` and stops at the boundary the budget falls on.
+    budget = PROLOGUE + ITER * (n - 1) + 2
     run(cpu, cache, budget)
     assert head_block(cpu, cache, program).worst == THREADED_WORST
-    assert head_template(cache, program).runs == 0
-    # Far from the horizon it runs.
+    assert head_template(cache, program).runs == 1
+    assert cache.single_steps == PROLOGUE + STEPS * (n - 1)
+    assert (cpu.eip, cpu.cycles) == (program.symbols["body"] + 1, budget)
     run(cpu, cache, 10 ** 6)
-    assert head_template(cache, program).runs > 0
     assert fingerprint(cpu) == reference(iterations, (budget, 10 ** 6))
 
 
-def test_no_compile_where_horizon_refuses():
+def test_compiled_block_refused_by_its_guard_runs_threaded():
     n = translate.HOT_DISPATCHES
     c = translate.COMPILE_DISPATCHES
     code = CodeCache()
-    # The c-th threaded dispatch of this run is its last iteration,
-    # which halts inside the trace: the template is due, uncompiled.
-    first, program, cache = build(n + c - 1, translate_=True, code=code)
+    first, program, cache = build(n + c, translate_=True, code=code)
     run(first, cache, 10 ** 6)
     tpl = head_template(cache, program)
-    assert tpl.runs == c and tpl.make is None
+    assert tpl.make is not None and tpl.runs == c
     # A second machine meets the (already hot) head at its first
-    # dispatch, where the horizon refuses the trace: bound threaded,
-    # not compiled.  The next dispatch runs it and compiles it.
+    # dispatch and binds the compiled trace, whose guard the budget
+    # refuses: its threaded program runs instead of single steps and
+    # stops at the budget.
     iterations = 2 * n
-    budget = PROLOGUE + THREADED_WORST
+    budget = PROLOGUE + 2
     cpu, _, cache = build(iterations, translate_=True, code=code)
     run(cpu, cache, budget)
-    assert head_block(cpu, cache, program).worst == THREADED_WORST
-    assert cache.compiled == 0 and tpl.make is None
-    run(cpu, cache, 10 ** 6)
-    assert cache.compiled == 1 and tpl.make is not None
-    assert fingerprint(cpu) == reference(iterations, (budget, 10 ** 6))
+    block = head_block(cpu, cache, program)
+    compiled = block.fn
+    assert block.worst == WORST and compiled is not block.threaded
+    assert tpl.runs == c + 1
+    assert cache.single_steps == PROLOGUE
+    assert (cpu.eip, cpu.cycles) == (program.symbols["body"] + 1, budget)
+    # The next iteration's dispatch is refused the same way.  The
+    # fallback's due reports neither compile nor rebind the compiled
+    # block.
+    budgets = (budget, budget + ITER, 10 ** 6)
+    run(cpu, cache, budgets[1])
+    assert tpl.runs == c + 2
+    assert (cpu.eip, cpu.cycles) == (program.symbols["body"] + 1,
+                                     budgets[1])
+    assert head_block(cpu, cache, program) is block
+    assert block.fn is compiled
+    run(cpu, cache, budgets[2])
+    assert cache.compiled == 0
+    assert fingerprint(cpu) == reference(iterations, budgets)
 
 
 def test_no_discovery_just_before_a_timer_tick():

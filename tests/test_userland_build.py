@@ -1,7 +1,5 @@
 """User binary format and builder invariants."""
 
-import struct
-
 import pytest
 
 from repro.kernel.layout import KernelLayout
