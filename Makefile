@@ -58,10 +58,10 @@ bench-jit:
 
 # EXPERIMENTS.md at the default (quick) scale; standard takes ~1 h.
 experiments:
-	$(PY) scripts/run_experiments.py quick EXPERIMENTS.md
+	PYTHONPATH=src $(PY) -m repro.experiments quick EXPERIMENTS.md
 
 experiments-full:
-	$(PY) scripts/run_experiments.py standard EXPERIMENTS.md
+	PYTHONPATH=src $(PY) -m repro.experiments standard EXPERIMENTS.md
 
 clean:
 	rm -rf .pytest_cache .benchmarks results

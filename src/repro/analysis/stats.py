@@ -10,7 +10,6 @@ from repro.injection.outcomes import (
     FAIL_SILENCE_VIOLATION,
     HANG,
     NOT_MANIFESTED,
-    RECOVERED_CLASSES,
     latency_bucket,
     LATENCY_BUCKETS,
 )
@@ -195,8 +194,9 @@ def most_severe_cases(results):
 def recovered_counts(results):
     """Counter over recovered sub-classes of CRASH_RECOVERED runs.
 
-    Keys are the :data:`RECOVERED_CLASSES` labels; every recovered run
-    has exactly one (the classifier always sets ``recovered_class``).
+    Keys are the :data:`~repro.injection.outcomes.RECOVERED_CLASSES`
+    labels; every recovered run has exactly one (the classifier always
+    sets ``recovered_class``).
     """
     counter = Counter()
     for result in results:
@@ -217,19 +217,6 @@ def recovery_rate(results):
     return activated, recovered, share
 
 
-def recovered_class_order():
-    """The recovered sub-class labels, in reporting order."""
-    return list(RECOVERED_CLASSES)
-
-
 def bucket_labels():
     """The Figure 7 latency bucket labels, in order."""
     return [label for _, _, label in LATENCY_BUCKETS]
-
-
-def merge_results(*result_lists):
-    """Concatenate several result lists (e.g. campaigns A+B+C)."""
-    merged = []
-    for results in result_lists:
-        merged.extend(results)
-    return merged

@@ -684,11 +684,6 @@ def _emit_mid(em, ins):
     dst = ins.dst
     src = ins.src
 
-    if op == "nop":
-        em.pc += 1
-        em.pi += 1
-        return
-
     if ins.size == 4 and dst is not None and dst[0] == "r":
         d = dst[1]
 
@@ -741,21 +736,6 @@ def _emit_mid(em, ins):
             em.put("cf = 0")
             em.put("of = 0")
             _flags_tail(em, d, op != "test")
-            em.pc += 1
-            em.pi += 1
-            return
-
-        if op in ("inc", "dec"):
-            if not em.flags:
-                em.put("cf = cpu.cf")  # inc/dec preserve CF
-            em.put("a = regs[%d]" % d)
-            if op == "inc":
-                em.put("res = (a + 1) & 4294967295")
-                em.put("of = ((~(a ^ 1) & (a ^ res)) >> 31) & 1")
-            else:
-                em.put("res = (a - 1) & 4294967295")
-                em.put("of = (((a ^ 1) & (a ^ res)) >> 31) & 1")
-            _flags_tail(em, d, True)
             em.pc += 1
             em.pi += 1
             return

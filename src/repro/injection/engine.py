@@ -19,8 +19,10 @@ This module is the software analogue for the simulated rig:
   outcome carrying a serialized repro bundle instead of aborting the
   campaign.
 * **journaling + resume** — every completed experiment is appended to
-  a JSONL journal keyed by spec index; an interrupted campaign
-  restarts from the journal and re-runs only in-flight work.
+  a JSONL journal keyed by plan index; an interrupted campaign
+  restarts from the journal and re-runs only in-flight work.  The
+  engine runs any slice of a plan (a fabric shard is one), under the
+  same plan indices.
 * **graceful degradation** — after repeated worker failures the
   engine abandons the parallel rig and finishes serially in-process,
   recording the degradation (the reformat/reinstall rung: rebuild the
@@ -41,14 +43,24 @@ import traceback
 
 from repro.injection.outcomes import HARNESS_ERROR, InjectionResult
 
+# The recovery ladder of every :class:`WorkerPool`, the engine's and
+# the fabric's.  The pool reads these at run time.
+
 #: Per-experiment wall-clock watchdog (seconds).  Generous: a single
 #: simulated experiment is seconds of host time; minutes means the
 #: interpreter itself is wedged.
 DEFAULT_TIMEOUT = 300.0
 
-#: Seconds a failed experiment waits per failed attempt before its
-#: retry is leased.
+#: How many times a failed item is leased again before it is given up.
+RETRIES = 2
+
+#: Seconds a failed item waits per failed attempt before its retry is
+#: leased.
 BACKOFF = 0.25
+
+#: Worker failures after which the engine's pool degrades to serial
+#: (the fabric sizes its own budget from its shard count).
+MAX_WORKER_FAILURES = 3
 
 #: How a worker failure is reported in the HARNESS_ERROR repro bundle.
 KIND_EXCEPTION = "harness_exception"
@@ -57,17 +69,12 @@ KIND_WORKER_TIMEOUT = "worker_timeout"
 
 
 class EngineConfig:
-    """Tuning knobs for :class:`CampaignEngine`."""
+    """How :class:`CampaignEngine` runs: its workers and its journal."""
 
-    __slots__ = ("jobs", "timeout", "retries", "max_worker_failures",
-                 "journal_path", "resume")
+    __slots__ = ("jobs", "journal_path", "resume")
 
-    def __init__(self, jobs=1, timeout=None, retries=2,
-                 max_worker_failures=3, journal_path=None, resume=False):
+    def __init__(self, jobs=1, journal_path=None, resume=False):
         self.jobs = max(1, int(jobs))
-        self.timeout = DEFAULT_TIMEOUT if timeout is None else timeout
-        self.retries = max(0, int(retries))
-        self.max_worker_failures = max(1, int(max_worker_failures))
         self.journal_path = journal_path
         self.resume = resume
 
@@ -246,16 +253,14 @@ class CampaignJournal:
         self._check_header(records[0], fingerprint)
         completed = {}
         for record in result_records(records[1:]):
-            index = self._local_index(record["index"])
-            if index is None:
-                continue
+            index = record["index"]
             result = InjectionResult.from_dict(record["result"])
             if index in completed:
                 completed[index] = prefer_result(completed[index],
                                                  result)
             else:
                 completed[index] = result
-        self._note_loaded(completed)
+        self._seen.update(completed)
         return completed
 
     def _check_header(self, header, fingerprint):
@@ -265,13 +270,6 @@ class CampaignJournal:
                 "journal %s was written for a different campaign plan "
                 "(fingerprint %r, expected %r)"
                 % (self.path, header.get("fingerprint"), fingerprint))
-
-    def _local_index(self, stored_index):
-        """Map a journaled index to the engine's index space."""
-        return stored_index
-
-    def _note_loaded(self, completed):
-        self._seen.update(completed)
 
     # -- writing ------------------------------------------------------------
 
@@ -308,16 +306,11 @@ class CampaignJournal:
                 "n_specs": n_specs,
                 "schema_version": SPEC_SCHEMA_VERSION}
 
-    def _stored_index(self, index):
-        """Map an engine index to the journaled index space."""
-        return index
-
     def record(self, index, result):
-        stored = self._stored_index(index)
-        if stored in self._seen:
+        if index in self._seen:
             return          # exactly-once: replays never re-journal
-        self._seen.add(stored)
-        self._write({"type": "result", "index": stored,
+        self._seen.add(index)
+        self._write({"type": "result", "index": index,
                      "result": result.to_dict()})
 
     def record_carried(self, index, result, provenance):
@@ -330,11 +323,10 @@ class CampaignJournal:
         shard-merge treat carried results exactly like locally
         executed ones and the exactly-once invariant is shared.
         """
-        stored = self._stored_index(index)
-        if stored in self._seen:
+        if index in self._seen:
             return
-        self._seen.add(stored)
-        self._write({"type": "result", "index": stored,
+        self._seen.add(index)
+        self._write({"type": "result", "index": index,
                      "result": result.to_dict(),
                      "carried": dict(provenance)})
 
@@ -427,8 +419,9 @@ class WorkerPool:
     * a worker that dies idle is retired: a worker failure, but its
       last item is not re-run;
     * a worker that dies, reports a failed lease or runs overdue while
-      busy fails its item, which is retried after backoff up to
-      ``retries`` times and then given up;
+      busy fails its item, which is retried after :data:`BACKOFF`
+      seconds per failed lease up to :data:`RETRIES` times and then
+      given up;
     * each lost worker is replaced until ``max_failures`` worker
       failures; then the pool degrades: every worker is killed and
       the unfinished items go to the caller's fallback.
@@ -442,10 +435,8 @@ class WorkerPool:
     DIED = KIND_WORKER_DIED
     OVERDUE = KIND_WORKER_TIMEOUT
 
-    def __init__(self, size, retries, backoff, max_failures, meta):
+    def __init__(self, size, max_failures, meta):
         self.size = size
-        self.retries = retries
-        self.backoff = backoff
         self.max_failures = max_failures
         self.meta = meta
         self.overdue_leases = 0     # leases revoked as overdue
@@ -506,7 +497,7 @@ class WorkerPool:
                                            if w.conn is conn))
                 else:
                     # Everything runnable is in backoff; wait it out.
-                    time.sleep(min(0.05, self.backoff or 0.05))
+                    time.sleep(min(0.05, BACKOFF or 0.05))
                 self._check_workers()
         finally:
             for worker in self.workers:
@@ -520,9 +511,8 @@ class WorkerPool:
     def _spawn(self):
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         target, args = self.target(child_conn)
-        # Not daemonic, so a worker may fork workers of its own (a
-        # fabric shard with ``shard_jobs`` > 1); every exit path of
-        # ``run`` kills and joins what it forked.
+        # Not daemonic: every exit path of ``run`` kills and joins what
+        # it forked.
         process = self._ctx.Process(target=target, args=args)
         process.start()
         child_conn.close()
@@ -604,9 +594,8 @@ class WorkerPool:
         item = worker.item
         self._retire(worker)
         attempts = self._attempts[item] = self._attempts.get(item, 0) + 1
-        if attempts <= self.retries:
-            self._not_before[item] = time.monotonic() \
-                + self.backoff * attempts
+        if attempts <= RETRIES:
+            self._not_before[item] = time.monotonic() + BACKOFF * attempts
             self._queue.append(item)
         else:
             self._outstanding.discard(item)
@@ -627,15 +616,15 @@ class WorkerPool:
 
 
 class _SpecPool(WorkerPool):
-    """The engine's pool: an item is a spec index, a delivery its result."""
+    """The engine's pool: an item is a plan index, a delivery its result."""
 
-    def __init__(self, engine, specs, grade, seed, results, journal,
-                 progress, meta):
-        config = engine.config
-        WorkerPool.__init__(self, config.jobs, config.retries, BACKOFF,
-                            config.max_worker_failures, meta)
+    def __init__(self, engine, specs, indices, grade, seed, results,
+                 journal, progress, meta):
+        WorkerPool.__init__(self, engine.config.jobs, MAX_WORKER_FAILURES,
+                            meta)
         self.engine = engine
         self.specs = specs
+        self.indices = indices
         self.grade = grade
         self.seed = seed
         self.results = results
@@ -648,7 +637,7 @@ class _SpecPool(WorkerPool):
                               self.grade, self.seed, conn)
 
     def overdue(self, worker, now):
-        return now - worker.leased_at > self.engine.config.timeout
+        return now - worker.leased_at > DEFAULT_TIMEOUT
 
     def deliver(self, index, message):
         self._complete(index, InjectionResult.from_dict(message[1]))
@@ -659,13 +648,13 @@ class _SpecPool(WorkerPool):
         self._complete(index, harness_error_result(
             self.specs[index], kind, tb, self.seed))
 
-    def degrade(self, indices):
-        self.engine._run_serial(self.specs, indices, self.grade,
-                                self.seed, self.results, self.journal,
-                                self.progress)
+    def degrade(self, pending):
+        self.engine._run_serial(self.specs, self.indices, pending,
+                                self.grade, self.seed, self.results,
+                                self.journal, self.progress)
 
     def _complete(self, index, result):
-        self.engine._complete(index, result, self.specs, self.results,
+        self.engine._complete(index, result, self.indices, self.results,
                               self.journal, self.progress)
 
 
@@ -679,32 +668,39 @@ class CampaignEngine:
     # -- public entry point --------------------------------------------------
 
     def execute(self, campaign_key, specs, seed, byte_stride, grade=True,
-                progress=None, journal=None):
-        """Run *specs*; returns ``(results, engine_meta)``.
+                progress=None, journal=None, indices=None):
+        """Run the *indices* slice of the plan *specs* (by default all
+        of it); returns ``(results, engine_meta)``.
 
-        ``results`` is ordered by spec index regardless of completion
-        order; ``engine_meta`` describes how the run actually went
-        (mode, worker failures, degradation, resume) and is the only
-        part of a campaign's output that may differ between serial and
-        parallel execution.
+        Every index is a plan index: it is what the journal records and
+        what a resume matches, and ``results`` holds the slice's
+        results in slice order regardless of completion order.  The
+        journal fingerprint and header cover the slice's specs, and
+        ``progress(done, total, result)`` counts the slice.
+        ``engine_meta`` describes how the run actually went (mode,
+        worker failures, degradation, resume) and is the only part of a
+        campaign's output that may differ between serial and parallel
+        execution.
 
         *journal* lets a caller supply a pre-built journal object (the
-        fabric's :class:`~repro.injection.fabric.ShardJournal` records
-        global plan indices under a shard header); by default one is
-        constructed from ``config.journal_path``.
+        fabric's :class:`~repro.injection.fabric.ShardJournal` writes a
+        shard header); by default one is constructed from
+        ``config.journal_path``.
         """
         config = self.config
-        fingerprint = plan_fingerprint(campaign_key, specs, seed,
+        if indices is None:
+            indices = range(len(specs))
+        sliced = [specs[i] for i in indices]
+        fingerprint = plan_fingerprint(campaign_key, sliced, seed,
                                        byte_stride)
         completed = {}
         if journal is None and config.journal_path is not None:
             journal = CampaignJournal(config.journal_path)
         if journal is not None:
             if config.resume:
-                completed = journal.load(fingerprint)
-                completed = {i: r for i, r in completed.items()
-                             if 0 <= i < len(specs)}
-            journal.start(fingerprint, campaign_key, seed, len(specs),
+                loaded = journal.load(fingerprint)
+                completed = {i: loaded[i] for i in indices if i in loaded}
+            journal.start(fingerprint, campaign_key, seed, len(sliced),
                           fresh=not config.resume)
         meta = {
             "jobs": config.jobs,
@@ -716,54 +712,42 @@ class CampaignEngine:
             "harness_errors": 0,
             "degraded": False,
         }
-        pending = [i for i in range(len(specs)) if i not in completed]
+        pending = [i for i in indices if i not in completed]
         forking = config.jobs > 1 and pending and fork_available()
-        # Every golden run the plan needs is in the parent before any
-        # worker forks, so the workers inherit them copy-on-write instead
-        # of re-booting them; the missing ones are built on all ``jobs``
-        # cores (InjectionHarness.build_goldens).  So is the crash-latency
-        # calibration, which a serial run makes only at its first crash.
-        # Then the deterministic up-front workload assignment.
-        golden_start = time.perf_counter()
-        meta["goldens_built"] = self.harness.build_goldens(
-            map(self.harness.workload_of, specs), config.jobs)
-        meta["golden_s"] = time.perf_counter() - golden_start
-        if forking:
-            self.harness.crash_overhead()
-        for spec in specs:
-            self.harness.assign_workload(spec)
+        meta["goldens_built"], meta["golden_s"] = \
+            self.harness.prepare_campaign(sliced, config.jobs, forking)
         results = dict(completed)
         try:
             if forking:
-                _SpecPool(self, specs, grade, seed, results, journal,
-                          progress, meta).run(pending)
+                _SpecPool(self, specs, indices, grade, seed, results,
+                          journal, progress, meta).run(pending)
             else:
                 if config.jobs > 1 and pending:
                     meta["degraded"] = True
                     meta["degraded_reason"] = "fork unavailable"
-                self._run_serial(specs, pending, grade, seed, results,
-                                 journal, progress)
+                self._run_serial(specs, indices, pending, grade, seed,
+                                 results, journal, progress)
         finally:
             if journal is not None:
                 journal.close()
-        ordered = [results[i] for i in range(len(specs))]
+        ordered = [results[i] for i in indices]
         meta["harness_errors"] = sum(
             1 for r in ordered if r.outcome == HARNESS_ERROR)
         return ordered, meta
 
     # -- serial path ---------------------------------------------------------
 
-    def _run_serial(self, specs, pending, grade, seed, results, journal,
-                    progress):
+    def _run_serial(self, specs, indices, pending, grade, seed, results,
+                    journal, progress):
         for index in pending:
             result = run_spec_contained(self.harness, specs[index],
                                         grade, seed)
-            self._complete(index, result, specs, results, journal,
+            self._complete(index, result, indices, results, journal,
                            progress)
 
     # -- shared plumbing -----------------------------------------------------
 
-    def _complete(self, index, result, specs, results, journal,
+    def _complete(self, index, result, indices, results, journal,
                   progress):
         # Exactly-once invariant: deduplication of replayed work lives
         # in the journal/merge layer alone; a second completion here
@@ -776,7 +760,7 @@ class CampaignEngine:
         if journal is not None:
             journal.record(index, result)
         if progress is not None:
-            progress(len(results), len(specs), result)
+            progress(len(results), len(indices), result)
 
 
 def atomic_write_json(path, payload):

@@ -14,8 +14,9 @@ campaign was executed*:
   ``kfabric run --shard i/N`` needs no coordination, just GNU parallel
   or a CI matrix.
 * **shard journals** — each shard appends to its own JSONL journal
-  whose header binds it to both fingerprints; records carry *global*
-  plan indices so journals merge without translation.
+  whose header binds it to both fingerprints; the engine runs the
+  shard's slice of the full plan under plan indices, so journals merge
+  without translation.
 * **exactly-once merger** — :func:`merge_shard_journals` combines any
   set of shard journals (including overlapping retries of the same
   shard) into one canonical journal: replayed indices deduplicate via
@@ -136,18 +137,16 @@ def plan_shards(plan_fp, n_specs, count):
 # ---------------------------------------------------------------------------
 
 class ShardJournal(CampaignJournal):
-    """A shard's journal: shard header, *global* plan indices.
+    """A shard's journal: a campaign journal with a shard header.
 
-    Duck-types :class:`~repro.injection.engine.CampaignJournal` for the
-    engine (which runs the shard's spec subset under local indices 0..k
-    and never sees the mapping).  Inherits the torn-tail truncation,
-    exactly-once ``record`` and duplicate-tolerant ``load``.
+    Its records carry plan indices like any campaign journal's; it
+    inherits the torn-tail truncation, exactly-once ``record`` and
+    duplicate-tolerant ``load``.
     """
 
     def __init__(self, path, shard):
         CampaignJournal.__init__(self, path)
         self.shard = shard
-        self._to_local = {g: l for l, g in enumerate(shard.indices)}
 
     def _check_header(self, header, fingerprint):
         if header.get("type") != "shard_header" \
@@ -159,12 +158,6 @@ class ShardJournal(CampaignJournal):
                 "(shard fingerprint %r, expected %r)"
                 % (self.path, header.get("shard_fingerprint"),
                    self.shard.fingerprint))
-
-    def _local_index(self, stored_index):
-        return self._to_local.get(stored_index)
-
-    def _note_loaded(self, completed):
-        self._seen.update(self.shard.indices[i] for i in completed)
 
     def _header(self, fingerprint, campaign_key, seed, n_specs):
         from repro.injection.campaigns import SPEC_SCHEMA_VERSION
@@ -181,31 +174,26 @@ class ShardJournal(CampaignJournal):
                 "schema_version": SPEC_SCHEMA_VERSION,
                 "shard_schema_version": SHARD_SCHEMA_VERSION}
 
-    def _stored_index(self, index):
-        return self.shard.indices[index]
-
 
 def run_shard(harness, campaign_key, specs, seed, byte_stride, shard,
               journal_path, grade=True, jobs=1, resume=True,
               progress=None):
     """Execute one shard of a planned campaign; returns
-    ``(results, engine_meta)`` with *results* ordered by the shard's
-    local index.
+    ``(results, engine_meta)`` with *results* in the shard's index
+    order.
 
     *specs* is the **full** plan (every participant re-plans it
-    deterministically); the shard's subset is carved here so a shard
-    run on another host journals exactly the same global indices.  By
-    default the shard *resumes* its journal, so retrying a killed
-    shard re-runs only what is missing.
+    deterministically) and the engine runs the shard's slice of it, so
+    a shard run on another host journals exactly the same plan
+    indices.  By default the shard *resumes* its journal, so retrying
+    a killed shard re-runs only what is missing.
     """
-    subset = [specs[i] for i in shard.indices]
-    journal = ShardJournal(journal_path, shard)
     config = EngineConfig(jobs=jobs, journal_path=journal_path,
                           resume=resume)
-    engine = CampaignEngine(harness, config)
-    return engine.execute(campaign_key, subset, seed, byte_stride,
-                          grade=grade, progress=progress,
-                          journal=journal)
+    return CampaignEngine(harness, config).execute(
+        campaign_key, specs, seed, byte_stride, grade=grade,
+        progress=progress, journal=ShardJournal(journal_path, shard),
+        indices=shard.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -547,21 +535,16 @@ CHAOS_AFTER = 1
 
 
 class FabricConfig:
-    """Tuning knobs for :class:`FabricCoordinator`."""
+    """How :class:`FabricCoordinator` runs: its pool, lease timeout and
+    chaos mode.  The retry ladder is the engine's
+    (:class:`~repro.injection.engine.WorkerPool`)."""
 
-    __slots__ = ("pool", "shard_jobs", "lease_timeout", "retries",
-                 "backoff", "max_worker_failures", "chaos_kills",
-                 "chaos_seed")
+    __slots__ = ("pool", "lease_timeout", "chaos_kills", "chaos_seed")
 
-    def __init__(self, pool=2, shard_jobs=1, lease_timeout=120.0,
-                 retries=2, backoff=0.25, max_worker_failures=None,
-                 chaos_kills=0, chaos_seed=0):
+    def __init__(self, pool=2, lease_timeout=120.0, chaos_kills=0,
+                 chaos_seed=0):
         self.pool = max(1, int(pool))
-        self.shard_jobs = max(1, int(shard_jobs))
         self.lease_timeout = lease_timeout
-        self.retries = max(0, int(retries))
-        self.backoff = backoff
-        self.max_worker_failures = max_worker_failures
         #: Chaos mode: SIGKILL this many shard workers mid-run (each
         #: victim dies after journaling :data:`CHAOS_AFTER` results on
         #: its first attempt), exercising lease revocation, retry-with-
@@ -588,12 +571,13 @@ def read_heartbeat(path):
 
 
 def _shard_worker_main(harness, campaign_key, specs, seed, byte_stride,
-                       grade, shard_jobs, conn):
+                       grade, conn):
     """Fabric worker loop: receive a shard lease, run it, report back.
 
     Forked once per campaign, so the harness (kernel, golden snapshots,
     snapshot store) is inherited copy-on-write and the translation
-    cache one shard warms serves the worker's next.  A lease is
+    cache one shard warms serves the worker's next.  The worker runs
+    its shard serially: the pool is the fabric's only one.  A lease is
     ``(shard, journal_path, heartbeat_path, chaos_after)``; the report
     is ``(shard_index, None)``, or ``(shard_index, traceback)`` for a
     shard that raised, after which the worker exits.  *chaos_after*
@@ -618,8 +602,8 @@ def _shard_worker_main(harness, campaign_key, specs, seed, byte_stride,
             try:
                 write_heartbeat(heartbeat_path, 0, total)
                 run_shard(harness, campaign_key, specs, seed, byte_stride,
-                          shard, journal_path, grade=grade,
-                          jobs=shard_jobs, resume=True, progress=beat)
+                          shard, journal_path, grade=grade, resume=True,
+                          progress=beat)
             except Exception:
                 conn.send((shard.index, traceback.format_exc()))
                 break
@@ -652,9 +636,7 @@ class _ShardPool(WorkerPool):
 
     def __init__(self, coordinator, campaign_key, specs, seed,
                  byte_stride, tasks, grade, meta):
-        config = coordinator.config
-        WorkerPool.__init__(self, config.pool, config.retries,
-                            config.backoff,
+        WorkerPool.__init__(self, coordinator.config.pool,
                             coordinator._max_worker_failures(len(tasks)),
                             meta)
         self.coordinator = coordinator
@@ -663,10 +645,9 @@ class _ShardPool(WorkerPool):
         self.grade = grade
 
     def target(self, conn):
-        coordinator = self.coordinator
         return _shard_worker_main, (
-            (coordinator.harness,) + self.run_args
-            + (self.grade, coordinator.config.shard_jobs, conn))
+            (self.coordinator.harness,) + self.run_args
+            + (self.grade, conn))
 
     def payload(self, index, attempt):
         task = self.tasks[index]
@@ -743,21 +724,10 @@ class FabricCoordinator:
         shards = plan_shards(plan_fp, len(specs), shard_count)
         tasks = {s.index: _ShardTask(s, workdir) for s in shards}
         forking = config.pool > 1 and fork_available() and shards
-        # Every golden run is in the parent before the pool forks, so
-        # the workers inherit them copy-on-write, and a shared snapshot
-        # store is populated for out-of-process shards.  A cold store's
-        # missing runs are built on the pool's cores
-        # (InjectionHarness.build_goldens); a translating harness also
-        # builds the kernel's code cache there, once for every fork.
-        # The crash-latency calibration is made (or thawed) here too.
-        golden_start = time.perf_counter()
-        goldens_built = self.harness.build_goldens(
-            map(self.harness.workload_of, specs), config.pool)
-        golden_s = time.perf_counter() - golden_start
-        if forking:
-            self.harness.crash_overhead()
-        for spec in specs:
-            self.harness.assign_workload(spec)
+        # The golden runs are also what a shared snapshot store holds
+        # for out-of-process shards.
+        goldens_built, golden_s = self.harness.prepare_campaign(
+            specs, config.pool, forking)
         meta = {
             "mode": "fabric",
             "shards": shard_count,
@@ -800,13 +770,9 @@ class FabricCoordinator:
     # -- setup helpers -------------------------------------------------------
 
     def _max_worker_failures(self, shard_count):
-        configured = self.config.max_worker_failures
-        if configured is not None:
-            return max(1, int(configured))
         # Leave headroom for every chaos kill plus the retry budget
         # before the fabric gives up on the pool.
-        return (self.config.chaos_kills
-                + max(4, 2 * shard_count))
+        return self.config.chaos_kills + max(4, 2 * shard_count)
 
     def _choose_chaos_victims(self, shards, tasks, meta):
         config = self.config

@@ -14,6 +14,7 @@ import json
 import os
 import pickle
 import tempfile
+import time
 from collections import Counter
 
 from repro.cpu.translate import code_cache
@@ -343,6 +344,29 @@ class InjectionHarness:
             self._builders.clear()
         # Every golden run built, here or in a builder, is one boot.
         return self.boots - before
+
+    def prepare_campaign(self, specs, workers, forking):
+        """Make *specs* ready to run on *workers* cores; returns
+        ``(goldens_built, golden_s)``.
+
+        Every golden run the specs need is in this process before any
+        worker forks, so the workers inherit them copy-on-write instead
+        of re-booting them; the missing ones are built on all *workers*
+        cores (:meth:`build_goldens`), which also warms a translating
+        harness's code cache once for every fork, and ``golden_s``
+        times that.  A campaign about to fork (*forking*) calibrates
+        :meth:`crash_overhead` here too, which a serial run does only at
+        its first crash.  Last comes the deterministic up-front
+        workload assignment of every spec.
+        """
+        start = time.perf_counter()
+        built = self.build_goldens(map(self.workload_of, specs), workers)
+        golden_s = time.perf_counter() - start
+        if forking:
+            self.crash_overhead()
+        for spec in specs:
+            self.assign_workload(spec)
+        return built, golden_s
 
     def _holds_golden(self, workload):
         """Whether :meth:`golden` would find *workload*'s run built."""
@@ -724,7 +748,6 @@ class InjectionHarness:
     def run_campaign(self, campaign_key, functions=None, seed=2003,
                      byte_stride=1, max_per_function=None, grade=True,
                      progress=None, max_specs=None, jobs=1,
-                     timeout=None, retries=2, max_worker_failures=3,
                      journal_path=None, resume=False,
                      static_verdicts=False, delta_from=None,
                      delta_base_kernel=None):
@@ -734,7 +757,8 @@ class InjectionHarness:
         Execution goes through the fault-tolerant engine
         (:mod:`repro.injection.engine`): *jobs* > 1 runs experiments in
         process-isolated workers with per-experiment watchdogs and
-        retry; *journal_path* appends every completed experiment to a
+        retry (the ladder of :class:`~repro.injection.engine.WorkerPool`);
+        *journal_path* appends every completed experiment to a
         JSONL journal and *resume* restarts an interrupted campaign
         from it.  Specs are planned deterministically up front, so
         serial and parallel runs of the same seed yield identical
@@ -784,10 +808,8 @@ class InjectionHarness:
             finally:
                 journal.close()
             resume = True
-        config = EngineConfig(jobs=jobs, timeout=timeout,
-                              retries=retries,
-                              max_worker_failures=max_worker_failures,
-                              journal_path=journal_path, resume=resume)
+        config = EngineConfig(jobs=jobs, journal_path=journal_path,
+                              resume=resume)
         results, engine_meta = CampaignEngine(self, config).execute(
             campaign_key, specs, seed=seed, byte_stride=byte_stride,
             grade=grade, progress=progress)

@@ -112,13 +112,11 @@ only on the spec and the kernel, so delta composes with
 
 import hashlib
 import json
-import os
 import struct
 from collections import Counter
 
 from repro.injection.campaigns import PRED_FIELDS
 from repro.injection.engine import (
-    CampaignJournal,
     plan_fingerprint,
     prefer_result,
     read_journal_lines,
@@ -608,24 +606,6 @@ def load_journal_results(path):
     return header, by_coords
 
 
-def write_results_journal(results, path):
-    """Materialize a :class:`CampaignResults` as a campaign journal.
-
-    Lets in-memory (or JSON-cached) campaign results act as the
-    delta source when the original run kept no journal.
-    """
-    meta = results.meta
-    journal = CampaignJournal(path)
-    journal.start(meta["fingerprint"], meta["campaign"], meta["seed"],
-                  len(results.results), fresh=True)
-    try:
-        for index, result in enumerate(results.results):
-            journal.record(index, result)
-    finally:
-        journal.close()
-    return path
-
-
 # ---------------------------------------------------------------------------
 # planning
 
@@ -687,12 +667,14 @@ class DeltaPlan:
             "provenance": dict(self.provenance),
         }
 
-    def seed_journal(self, journal):
-        """Record every carried result into an already-started
-        journal (main journals and shard journals alike)."""
-        for index in sorted(self.carried):
-            journal.record_carried(index, self.carried[index],
-                                   self.provenance)
+    def seed_journal(self, journal, indices=None):
+        """Record the carried results of the plan slice *indices* (by
+        default every one) into an already-started journal, a
+        campaign's or a shard's."""
+        for index in sorted(self.carried) if indices is None else indices:
+            if index in self.carried:
+                journal.record_carried(index, self.carried[index],
+                                       self.provenance)
 
 
 def _kernel_fp(kernel):
@@ -848,38 +830,3 @@ def plan_delta(harness, base_kernel, source_journal, campaign_key,
     return DeltaPlan(campaign_key, seed, byte_stride, functions,
                      specs, fingerprint, diff, carried, live_indices,
                      reasons, provenance)
-
-
-def seed_shard_journals(plan, shards, workdir):
-    """Pre-seed one shard journal per shard with the plan's carried
-    records; returns the journal paths.
-
-    A delta plan shards like any other plan: each shard journal gets
-    the carried records that fall inside its index slice, and
-    ``run_shard(..., resume=True)`` over the pre-seeded journal then
-    executes only that shard's live sites.  The merged result is
-    bit-identical to the serial delta run.
-    """
-    from repro.injection.fabric import ShardJournal
-    os.makedirs(workdir, exist_ok=True)
-    paths = []
-    for shard in shards:
-        path = os.path.join(
-            workdir, "shard_%d_of_%d.journal.jsonl"
-            % (shard.index, shard.count))
-        subset = [plan.specs[i] for i in shard.indices]
-        fingerprint = plan_fingerprint(plan.campaign, subset,
-                                       plan.seed, plan.byte_stride)
-        journal = ShardJournal(path, shard)
-        journal.start(fingerprint, plan.campaign, plan.seed,
-                      len(subset), fresh=True)
-        try:
-            for local, global_index in enumerate(shard.indices):
-                if global_index in plan.carried:
-                    journal.record_carried(
-                        local, plan.carried[global_index],
-                        plan.provenance)
-        finally:
-            journal.close()
-        paths.append(path)
-    return paths

@@ -7,10 +7,13 @@ site and print the matching ``FAULT:`` annotation, e.g.::
 
     FAULT: reg flip edx bit 17 @ trap entry
 
-Campaign-sizing helpers (kdelta, kfabric): the shared
-``campaign --seed --stride --max-specs --scale`` option group and the
-scale-preset resolution both campaign CLIs size their plans with.
+Campaign helpers (kdelta, kfabric): the shared
+``campaign --seed --stride --max-specs --scale`` option group, the
+scale-preset resolution both campaign CLIs size their plans with, and
+the harness both run their campaigns on.
 """
+
+import sys
 
 from repro.injection.campaigns import InjectionSpec
 from repro.injection.faultmodels import MODELS, resolve_model
@@ -44,6 +47,32 @@ def scale_params(args):
         stride = preset[0] if stride is None else stride
         cap = preset[1] if cap is None else cap
     return stride, cap
+
+
+def build_harness(kernel=None, profiled=None, store=None):
+    """The campaign CLIs' harness: *kernel* (by default a fresh build)
+    with every workload profiled on *profiled* (by default *kernel*),
+    booting through the snapshot store in directory *store* if given.
+
+    kdelta profiles the base kernel for the edited kernel's harness:
+    the base campaign assigned workloads from the base profile, and
+    carried records match only if the delta run assigns the same.
+    """
+    from repro.injection.fabric import SnapshotStore
+    from repro.injection.runner import InjectionHarness
+    from repro.kernel.build import build_kernel
+    from repro.profiling.sampler import profile_kernel
+    from repro.userland.build import build_all_programs
+    from repro.userland.programs import WORKLOADS
+    if kernel is None:
+        print("building kernel + profiling workloads...",
+              file=sys.stderr)
+        kernel = build_kernel()
+    binaries = build_all_programs()
+    profile = profile_kernel(profiled or kernel, binaries, WORKLOADS)
+    return InjectionHarness(
+        kernel, binaries, profile,
+        snapshot_store=SnapshotStore(store) if store else None)
 
 
 def add_model_options(parser):

@@ -31,13 +31,16 @@ import argparse
 import json
 import sys
 
-from repro.injection.runner import InjectionHarness
 from repro.staticanalysis.delta import (
     RECOVERY_GATE_EDIT,
     diff_kernels,
     plan_delta,
 )
-from repro.tools.faultcli import add_campaign_options, scale_params
+from repro.tools.faultcli import (
+    add_campaign_options,
+    build_harness,
+    scale_params,
+)
 
 
 def _add_edit_options(parser):
@@ -75,22 +78,6 @@ def _build_kernels(edits):
     return base, new
 
 
-def _build_harness(base, new):
-    """Harness on the *edited* kernel, profiled against the base one.
-
-    The base campaign assigned workloads from the base kernel's
-    profile; the delta harness must replay the same assignment for
-    carried records to match, so the profile is shared rather than
-    re-measured on the edited image.
-    """
-    from repro.profiling.sampler import profile_kernel
-    from repro.userland.build import build_all_programs
-    from repro.userland.programs import WORKLOADS
-    binaries = build_all_programs()
-    profile = profile_kernel(base, binaries, WORKLOADS)
-    return InjectionHarness(new, binaries, profile)
-
-
 def _print_diff(diff, as_json):
     summary = diff.summary()
     if as_json:
@@ -123,7 +110,7 @@ def cmd_diff(args):
 def _plan(args):
     edits = _edits(args, args.parser)
     base, new = _build_kernels(edits)
-    harness = _build_harness(base, new)
+    harness = build_harness(new, profiled=base)
     stride, cap = scale_params(args)
     plan = plan_delta(harness, base, args.source, args.campaign,
                       seed=args.seed, byte_stride=stride,
@@ -164,7 +151,7 @@ def _progress(done, total, result):
 def cmd_run(args):
     edits = _edits(args, args.parser)
     base, new = _build_kernels(edits)
-    harness = _build_harness(base, new)
+    harness = build_harness(new, profiled=base)
     stride, cap = scale_params(args)
     results = harness.run_campaign(
         args.campaign, seed=args.seed, byte_stride=stride,

@@ -31,14 +31,17 @@ from repro.injection.fabric import (
     FabricConfig,
     FabricCoordinator,
     MergeError,
-    SnapshotStore,
     merge_shard_journals,
     plan_shards,
     run_shard,
 )
 from repro.injection.engine import plan_fingerprint
-from repro.injection.runner import CampaignResults, InjectionHarness
-from repro.tools.faultcli import add_campaign_options, scale_params
+from repro.injection.runner import CampaignResults
+from repro.tools.faultcli import (
+    add_campaign_options,
+    build_harness,
+    scale_params,
+)
 
 
 def _add_plan_options(parser):
@@ -58,20 +61,6 @@ def _parse_shard(text, parser):
     if not 0 <= index < count:
         parser.error("shard index %d outside 0..%d" % (index, count - 1))
     return index, count
-
-
-def _build_harness(args):
-    from repro.kernel.build import build_kernel
-    from repro.profiling.sampler import profile_kernel
-    from repro.userland.build import build_all_programs
-    from repro.userland.programs import WORKLOADS
-    print("building kernel + profiling workloads...", file=sys.stderr)
-    kernel = build_kernel()
-    binaries = build_all_programs()
-    profile = profile_kernel(kernel, binaries, WORKLOADS)
-    store = SnapshotStore(args.store) if args.store else None
-    return InjectionHarness(kernel, binaries, profile,
-                            snapshot_store=store)
 
 
 def _plan(harness, args):
@@ -100,7 +89,7 @@ def _save_results(path, campaign, results, seed, stride, plan_fp,
 
 
 def cmd_plan(args):
-    harness = _build_harness(args)
+    harness = build_harness(store=args.store)
     specs, stride, plan_fp = _plan(harness, args)
     shards = plan_shards(plan_fp, len(specs), args.shards)
     if args.json:
@@ -125,7 +114,7 @@ def cmd_plan(args):
 
 def cmd_run(args):
     index, count = _parse_shard(args.shard, args.parser)
-    harness = _build_harness(args)
+    harness = build_harness(store=args.store)
     specs, stride, plan_fp = _plan(harness, args)
     shard = plan_shards(plan_fp, len(specs), count)[index]
     print("shard %d/%d of plan %s: %d of %d specs -> %s"
@@ -181,10 +170,9 @@ def cmd_merge(args):
 
 
 def cmd_campaign(args):
-    harness = _build_harness(args)
+    harness = build_harness(store=args.store)
     stride, cap = scale_params(args)
-    config = FabricConfig(pool=args.pool, shard_jobs=args.jobs,
-                          chaos_kills=args.chaos,
+    config = FabricConfig(pool=args.pool, chaos_kills=args.chaos,
                           chaos_seed=args.seed,
                           lease_timeout=args.lease_timeout)
     coordinator = FabricCoordinator(harness, config)
@@ -267,7 +255,6 @@ def main(argv=None):
     _add_plan_options(p_campaign)
     p_campaign.add_argument("--shards", type=int, default=3)
     p_campaign.add_argument("--pool", type=int, default=2)
-    p_campaign.add_argument("--jobs", type=int, default=1)
     p_campaign.add_argument("--chaos", type=int, default=0,
                             help="SIGKILL this many shard workers "
                                  "mid-run (they are retried)")

@@ -14,16 +14,14 @@ import time
 import pytest
 
 from repro.experiments.delta_validation import carried_provenance
-from repro.injection.fabric import merge_shard_journals, plan_shards, \
-    run_shard
+from repro.injection.engine import plan_fingerprint
+from repro.injection.fabric import ShardJournal, merge_shard_journals, \
+    plan_shards, run_shard
 from repro.injection.runner import InjectionHarness
 from repro.kernel.build import build_kernel
 from repro.staticanalysis.delta import (
     RECOVERY_GATE_EDIT,
-    load_journal_results,
     plan_delta,
-    seed_shard_journals,
-    write_results_journal,
 )
 
 _KEY = "A"
@@ -254,22 +252,6 @@ def test_cold_path_delta_reruns_little(harness, tmp_path):
     assert best["scratch"] / best["delta"] >= 1.0, best
 
 
-# -- journal materialization ------------------------------------------
-
-
-def test_write_results_journal_roundtrip(base_run, tmp_path):
-    base, _ = base_run
-    path = str(tmp_path / "materialized.journal.jsonl")
-    write_results_journal(base, path)
-    header, by_coords = load_journal_results(path)
-    assert header["fingerprint"] == base.meta["fingerprint"]
-    assert len(by_coords) == len(base.results)
-    for result in base.results:
-        coords = (result.function, result.addr, result.byte_offset,
-                  result.bit, result.fault_model)
-        assert by_coords[coords].to_dict() == result.to_dict()
-
-
 # -- fabric composition -----------------------------------------------
 
 
@@ -279,7 +261,16 @@ def test_delta_plan_shards_and_merges(harness, base_run, tmp_path):
                       seed=_SEED, byte_stride=_STRIDE,
                       max_specs=_MAX_SPECS)
     shards = plan_shards(plan.fingerprint, len(plan.specs), 2)
-    paths = seed_shard_journals(plan, shards, str(tmp_path))
+    paths = []
+    for shard in shards:
+        path = str(tmp_path / ("shard_%d.journal.jsonl" % shard.index))
+        subset = [plan.specs[i] for i in shard.indices]
+        journal = ShardJournal(path, shard)
+        journal.start(plan_fingerprint(_KEY, subset, _SEED, _STRIDE),
+                      _KEY, _SEED, len(subset), fresh=True)
+        plan.seed_journal(journal, shard.indices)
+        journal.close()
+        paths.append(path)
     for shard, path in zip(shards, paths):
         results, meta = run_shard(harness, _KEY, plan.specs, _SEED,
                                   _STRIDE, shard, path, resume=True)

@@ -468,11 +468,12 @@ class TestCoordinator:
         assert engine["workers_spawned"] == 3
 
     def test_repeated_deaths_degrade_to_serial(self, harness, serial,
-                                               tmp_path):
+                                               monkeypatch, tmp_path):
+        monkeypatch.setattr(FabricCoordinator, "_max_worker_failures",
+                            lambda self, shard_count: 1)
         coordinator = FabricCoordinator(
             harness, FabricConfig(pool=2, chaos_kills=3,
-                                  chaos_seed=SEED,
-                                  max_worker_failures=1))
+                                  chaos_seed=SEED))
         results = coordinator.run_campaign(
             CAMPAIGN, seed=SEED, byte_stride=STRIDE,
             max_specs=MAX_SPECS, shard_count=3,
@@ -486,6 +487,7 @@ class TestCoordinator:
                                                  tmp_path):
         """A worker that stops heartbeating loses its lease; the shard
         is re-dispatched and resumes, results unchanged."""
+        import repro.injection.engine as engine_mod
         stall_flag = tmp_path / "stalled-once"
         parent = os.getpid()
         real = harness.run_spec
@@ -497,9 +499,9 @@ class TestCoordinator:
             return real(spec, grade=grade)
 
         monkeypatch.setattr(harness, "run_spec", stalling)
+        monkeypatch.setattr(engine_mod, "BACKOFF", 0.0)
         coordinator = FabricCoordinator(
-            harness, FabricConfig(pool=2, lease_timeout=1.5,
-                                  backoff=0.0))
+            harness, FabricConfig(pool=2, lease_timeout=1.5))
         results = coordinator.run_campaign(
             CAMPAIGN, seed=SEED, byte_stride=STRIDE,
             max_specs=MAX_SPECS, shard_count=2,
@@ -513,6 +515,7 @@ class TestCoordinator:
             self, harness, specs, serial, monkeypatch, tmp_path):
         """The lease clock restarts at every lease: a worker that
         stalls on the second shard it holds loses that lease too."""
+        import repro.injection.engine as engine_mod
         target = specs[3]               # shard 3/4's first spec
         stall_flag = tmp_path / "stalled-once"
         parent = os.getpid()
@@ -526,9 +529,9 @@ class TestCoordinator:
             return real(spec, grade=grade)
 
         monkeypatch.setattr(harness, "run_spec", stalling)
+        monkeypatch.setattr(engine_mod, "BACKOFF", 0.0)
         coordinator = FabricCoordinator(
-            harness, FabricConfig(pool=2, lease_timeout=1.5,
-                                  backoff=0.0))
+            harness, FabricConfig(pool=2, lease_timeout=1.5))
         results = coordinator.run_campaign(
             CAMPAIGN, seed=SEED, byte_stride=STRIDE,
             max_specs=MAX_SPECS, shard_count=4,
@@ -582,20 +585,6 @@ class TestCoordinator:
         assert engine["workers_spawned"] == 3
         assert engine["replayed_records"] == 0
         assert engine["serial_completions"] == 0
-
-    def test_shard_jobs_fork_inside_pool_workers(self, harness, serial,
-                                                 tmp_path):
-        """A pool worker may fork the engine workers of its shard."""
-        coordinator = FabricCoordinator(
-            harness, FabricConfig(pool=2, shard_jobs=2, backoff=0.0))
-        results = coordinator.run_campaign(
-            CAMPAIGN, seed=SEED, byte_stride=STRIDE,
-            max_specs=MAX_SPECS, shard_count=2,
-            workdir=str(tmp_path / "fabric"), grade=False)
-        engine = results.meta["engine"]
-        assert engine["worker_failures"] == 0
-        assert engine["degraded"] is False
-        assert [r.to_dict() for r in results.results] == serial
 
     def test_fault_model_campaign_shards(self, harness, tmp_path):
         """A fault-model key plans and shards like campaigns A-C."""

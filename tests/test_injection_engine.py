@@ -10,12 +10,14 @@ run.
 import json
 import os
 import signal
+import time
 
 import pytest
 
 from repro.injection.campaigns import plan_campaign, select_targets
 from repro.injection.engine import (
     KIND_WORKER_DIED,
+    KIND_WORKER_TIMEOUT,
     CampaignJournal,
     JournalMismatch,
 )
@@ -301,6 +303,7 @@ class TestWorkerFaultTolerance:
     def test_retries_exhausted_yields_harness_error(self, harness,
                                                     monkeypatch,
                                                     expected):
+        import repro.injection.engine as engine_mod
         target = planned_specs(harness)[3]
         parent = os.getpid()
         real = harness.run_spec
@@ -311,8 +314,9 @@ class TestWorkerFaultTolerance:
             return real(spec, grade=grade)
 
         monkeypatch.setattr(harness, "run_spec", kill_always)
-        out = run_campaign(harness, jobs=2, retries=1,
-                           max_worker_failures=10)
+        monkeypatch.setattr(engine_mod, "RETRIES", 1)
+        monkeypatch.setattr(engine_mod, "MAX_WORKER_FAILURES", 10)
+        out = run_campaign(harness, jobs=2)
         failed = out.results[3]
         assert failed.outcome == HARNESS_ERROR
         assert failed.repro["kind"] == KIND_WORKER_DIED
@@ -324,6 +328,7 @@ class TestWorkerFaultTolerance:
 
     def test_repeated_failures_degrade_to_serial(self, harness,
                                                  monkeypatch, expected):
+        import repro.injection.engine as engine_mod
         target = planned_specs(harness)[3]
         parent = os.getpid()
         real = harness.run_spec
@@ -336,12 +341,72 @@ class TestWorkerFaultTolerance:
             return real(spec, grade=grade)
 
         monkeypatch.setattr(harness, "run_spec", poison)
-        out = run_campaign(harness, jobs=2, max_worker_failures=1)
+        monkeypatch.setattr(engine_mod, "MAX_WORKER_FAILURES", 1)
+        out = run_campaign(harness, jobs=2)
         engine = out.meta["engine"]
         assert engine["degraded"] is True
         assert "worker failures" in engine["degraded_reason"]
         # the poisoned spec is contained, everything else completes
         assert out.results[3].outcome == HARNESS_ERROR
+        others = [d for i, d in enumerate(result_dicts(out)) if i != 3]
+        expected_others = [d for i, d in
+                           enumerate(result_dicts(expected)) if i != 3]
+        assert others == expected_others
+
+
+class TestWatchdog:
+    """The timeout rung: a lease that outruns ``DEFAULT_TIMEOUT`` is
+    revoked, its worker killed and its spec retried in a fresh one."""
+
+    def test_overdue_spec_is_retried_in_a_fresh_worker(
+            self, harness, expected, monkeypatch, tmp_path):
+        import repro.injection.engine as engine_mod
+        target = planned_specs(harness)[3]
+        flag = tmp_path / "already-stalled"
+        parent = os.getpid()
+        real = harness.run_spec
+
+        def stall_once(spec, grade=True):
+            if (os.getpid() != parent and match(spec, target)
+                    and not flag.exists()):
+                flag.write_text("x")
+                time.sleep(60)
+            return real(spec, grade=grade)
+
+        monkeypatch.setattr(harness, "run_spec", stall_once)
+        monkeypatch.setattr(engine_mod, "DEFAULT_TIMEOUT", 1.0)
+        monkeypatch.setattr(engine_mod, "MAX_WORKER_FAILURES", 10)
+        out = run_campaign(harness, jobs=2)
+        assert flag.exists()
+        assert result_dicts(out) == result_dicts(expected)
+        assert out.meta["engine"]["worker_failures"] == 1
+        assert out.meta["engine"]["degraded"] is False
+
+    def test_always_overdue_spec_yields_worker_timeout(
+            self, harness, expected, monkeypatch, tmp_path):
+        import repro.injection.engine as engine_mod
+        target = planned_specs(harness)[3]
+        leases = tmp_path / "target-leases"
+        parent = os.getpid()
+        real = harness.run_spec
+
+        def stall_always(spec, grade=True):
+            if os.getpid() != parent and match(spec, target):
+                with open(leases, "a") as fh:
+                    fh.write("x")
+                time.sleep(60)
+            return real(spec, grade=grade)
+
+        monkeypatch.setattr(harness, "run_spec", stall_always)
+        monkeypatch.setattr(engine_mod, "DEFAULT_TIMEOUT", 1.0)
+        monkeypatch.setattr(engine_mod, "MAX_WORKER_FAILURES", 10)
+        out = run_campaign(harness, jobs=2)
+        failed = out.results[3]
+        assert failed.outcome == HARNESS_ERROR
+        assert failed.repro["kind"] == KIND_WORKER_TIMEOUT
+        assert leases.read_text() == "x" * (engine_mod.RETRIES + 1)
+        assert out.meta["engine"]["worker_failures"] \
+            == engine_mod.RETRIES + 1
         others = [d for i, d in enumerate(result_dicts(out)) if i != 3]
         expected_others = [d for i, d in
                            enumerate(result_dicts(expected)) if i != 3]

@@ -29,12 +29,12 @@ BASE = 0x1000
 
 #: a cold iteration interprets STEPS instructions in ITER cycles (the
 #: taken ``jne`` costs two); the compiled trace at ``loop`` has a
-#: worst-case interior cost of WORST, the threaded one of THREADED_WORST
-#: (``_cost`` of its first four instructions; hlt, the last, is not
-#: counted).
+#: worst-case interior cost of WORST (its ``nop`` and ``dec ecx`` call
+#: their handlers), the threaded one of THREADED_WORST (``_cost`` of
+#: its first four instructions; hlt, the last, is not counted).
 STEPS = 4
 ITER = 5
-WORST = 4
+WORST = 12
 THREADED_WORST = 20
 LOOP_SRC = """
 _start:
